@@ -11,8 +11,8 @@ suite and the ``verify`` CLI command.
 
 __version__ = "0.1.0"
 
-from .augment import AugmentedPda, augment, support_initial_stack
-from .backward import BackwardResult, run_backward, scan_eps_on_paths, unique_gamma_path
+from .augment import AugmentedPda, augment
+from .backward import BackwardResult, run_backward
 from .builders import cfg_to_pda, random_pda
 from .dot import nfa_to_dot, pda_to_dot
 from .forward import EpsClosure, ForwardResult, compute_s, establish_path, run_forward
@@ -20,6 +20,7 @@ from .model import (
     EPSILON,
     M0,
     Configuration,
+    Grammar,
     NfaShapeError,
     NfaState,
     NfaSummary,
@@ -27,12 +28,11 @@ from .model import (
     PdaTransition,
     StackString,
     Symbol,
+    make_grammar,
     nfa_shape_violations,
-    step,
     validate,
 )
 from .oracle import (
-    Grammar,
     NormalizedPda,
     bounded_derivations,
     bounded_language,
@@ -40,7 +40,6 @@ from .oracle import (
     bounded_useful,
     exact_useless,
     grammar_useless,
-    make_grammar,
     normalize,
     pda_to_grammar,
 )
@@ -101,9 +100,5 @@ __all__ = [
     "run_backward",
     "run_forward",
     "run_pipeline",
-    "scan_eps_on_paths",
-    "step",
-    "support_initial_stack",
-    "unique_gamma_path",
     "validate",
 ]

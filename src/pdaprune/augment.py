@@ -6,7 +6,7 @@ has been drained.  The initial stack of the augmented PDA is the single
 bottom marker; the forward analysis seeds its NFA accordingly.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .model import EPSILON, Pda, PdaTransition, StackString, Symbol
 
@@ -29,7 +29,6 @@ class AugmentedPda:
     drain_state: str
     final_state: str
     synthetic_ids: frozenset[str]
-    origin_of: dict[str, str]
 
     def is_synthetic(self, tid: str) -> bool:
         return tid in self.synthetic_ids
@@ -64,33 +63,11 @@ def augment(pda: Pda) -> AugmentedPda:
         initial=pda.initial,
         finals=frozenset({final}),
     )
-    origin = {t.id: t.id for t in pda.transitions}
     return AugmentedPda(
         p0=p0,
         bottom_marker=bottom,
         drain_state=drain,
         final_state=final,
         synthetic_ids=frozenset(t.id for t in synthetic),
-        origin_of=origin,
     )
 
-
-def support_initial_stack(pda: Pda, initial_stack: StackString) -> Pda:
-    """Wrap ``pda`` so runs start from ``initial_stack`` instead of empty.
-
-    Identity when the requested stack is empty.
-    """
-    if not initial_stack:
-        return pda
-    for a in initial_stack:
-        if a not in pda.stack_alphabet:
-            raise ValueError(f"initial stack symbol {a!r} outside stack alphabet")
-    start = _fresh("__start", set(pda.states))
-    tid = _fresh("__init", {t.id for t in pda.transitions})
-    seed = PdaTransition(tid, start, None, EPSILON, initial_stack, pda.initial)
-    return replace(
-        pda,
-        states=pda.states + (start,),
-        transitions=pda.transitions + (seed,),
-        initial=start,
-    )

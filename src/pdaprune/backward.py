@@ -12,134 +12,34 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .forward import ForwardResult
-from .model import (
-    EpsEdge,
-    NfaShapeError,
-    NfaState,
-    NfaSummary,
-    Pda,
-    StackString,
-    Symbol,
-    eps_edge_key,
-)
-
-
-def unique_gamma_path(nfa: NfaSummary, y: NfaState) -> tuple[tuple[Symbol, ...], NfaState]:
-    """Follow gamma edges from y to the unique final state they reach.
-
-    Returns the labels in path order (the reversed push string) and the
-    endpoint.  Raises NfaShapeError if the walk cannot terminate, which
-    would mean the forward construction produced a malformed NFA.
-    """
-    labels: list[Symbol] = []
-    seen: set[NfaState] = set()
-    cur = y
-    while not cur.final:
-        if cur in seen:
-            raise NfaShapeError(f"gamma cycle through {cur!r}")
-        seen.add(cur)
-        edge = nfa.gamma_out.get(cur)
-        if edge is None:
-            raise NfaShapeError(f"non-final state {cur!r} has no gamma edge")
-        labels.append(edge[0])
-        cur = edge[1]
-    return tuple(labels), cur
-
-
-def scan_eps_on_paths(
-    nfa: NfaSummary,
-    x: NfaState,
-    sigma: StackString,
-    q: str,
-    memo: set[EpsEdge] | None = None,
-) -> set[EpsEdge]:
-    """Epsilon edges on any path x --a--> z ==sigma'==> q, a = sigma's bottom.
-
-    The first hop is x's gamma edge; after it, the remaining labels of the
-    reversed pop string may be interleaved with epsilon edges anywhere.  An
-    edge qualifies only if it lies on a complete such path, so the scan
-    intersects forward reachability from the hop target with backward
-    reachability from q over the (position, state) product.
-
-    With a ``memo`` set, edges already seen by earlier scans are dropped
-    from the result and the memo is extended.
-    """
-    q_state = NfaState.inherited(q)
-    if not sigma or q_state not in nfa.states:
-        return set()
-    hop = nfa.gamma_out.get(x)
-    if hop is None or hop[0] != sigma[-1]:
-        return set()
-    labels = tuple(reversed(sigma[:-1]))
-    k = len(labels)
-
-    fwd: set[tuple[NfaState, int]] = set()
-    stack = [(hop[1], 0)]
-    while stack:
-        node = stack.pop()
-        if node in fwd:
-            continue
-        fwd.add(node)
-        u, i = node
-        for v in nfa.eps_out.get(u, ()):
-            stack.append((v, i))
-        if i < k:
-            edge = nfa.gamma_out.get(u)
-            if edge is not None and edge[0] == labels[i]:
-                stack.append((edge[1], i + 1))
-
-    bwd: set[tuple[NfaState, int]] = set()
-    stack = [(q_state, k)]
-    while stack:
-        node = stack.pop()
-        if node in bwd:
-            continue
-        bwd.add(node)
-        v, i = node
-        for u in nfa.eps_in.get(v, ()):
-            stack.append((u, i))
-        if i > 0:
-            src = nfa.gamma_in.get((labels[i - 1], v))
-            if src is not None:
-                stack.append((src, i - 1))
-
-    found: set[EpsEdge] = set()
-    for u, i in fwd:
-        for v in nfa.eps_out.get(u, ()):
-            if (v, i) in bwd:
-                found.add((u, v))
-    if memo is None:
-        return found
-    fresh = found - memo
-    memo |= found
-    return fresh
+from .forward import EpsClosure, ForwardResult
+from .model import NfaState, NfaSummary, Pda, StackString, Symbol
 
 
 @dataclass
 class BackwardResult:
     u2: frozenset[str]
     iterations: int
+    empty_language: bool
 
 
 class _IndexedNfa:
     """Integer-indexed, fully closed view of a finished NFA.
 
-    The NFA never changes during the backward run, so epsilon closures are
-    precomputed per state and path scans collapse to per-level intersections
-    of frozen sets.  Scan results and the per-level reach sets they share
-    are cached; indexing follows the deterministic state order.
+    The NFA never changes during the backward run, so path scans collapse to
+    per-level intersections of frozen sets.  The epsilon closures are the
+    ones forward saturation maintained, read without creating entries; the
+    per-level reach sets the scans share are cached.  Indexing follows the
+    deterministic state order.
     """
 
-    def __init__(self, nfa: NfaSummary):
+    def __init__(self, nfa: NfaSummary, closure: EpsClosure):
         self.states = sorted(nfa.states, key=NfaState.sort_key)
         self.index = {s: i for i, s in enumerate(self.states)}
         n = len(self.states)
-        eps_out: list[list[int]] = [[] for _ in range(n)]
-        eps_in: list[list[int]] = [[] for _ in range(n)]
-        for x, y in sorted(nfa.eps_edges, key=eps_edge_key):
-            eps_out[self.index[x]].append(self.index[y])
-            eps_in[self.index[y]].append(self.index[x])
+        eps_out: list[set[int]] = [set() for _ in range(n)]
+        for x, y in nfa.eps_edges:
+            eps_out[self.index[x]].add(self.index[y])
         self.eps_out_set = [frozenset(v) for v in eps_out]
         self.gamma_out: list[tuple[Symbol, int] | None] = [None] * n
         for src, (label, dst) in nfa.gamma_out.items():
@@ -148,45 +48,19 @@ class _IndexedNfa:
             (label, self.index[dst]): self.index[src]
             for (label, dst), src in nfa.gamma_in.items()
         }
-        self.fro_closure = [self._reach(i, eps_out) for i in range(n)]
-        self.to_closure = [self._reach(i, eps_in) for i in range(n)]
-        self._walks: dict[int, tuple[tuple[Symbol, ...], int]] = {}
-        self._scans: dict[tuple[int, StackString, int], frozenset[tuple[int, int]]] = {}
+        self.fro_closure = self._indexed(closure.fro)
+        self.to_closure = self._indexed(closure.to)
         self._fwd_levels: dict[tuple[int, tuple[Symbol, ...]], tuple] = {}
         self._bwd_levels: dict[tuple[int, tuple[Symbol, ...]], tuple] = {}
 
-    @staticmethod
-    def _reach(start: int, adjacency: list[list[int]]) -> frozenset[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for nxt in adjacency[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return frozenset(seen)
-
-    def walk(self, y: int) -> tuple[tuple[Symbol, ...], int]:
-        cached = self._walks.get(y)
-        if cached is not None:
-            return cached
-        labels: list[Symbol] = []
-        seen: set[int] = set()
-        cur = y
-        while not self.states[cur].final:
-            if cur in seen:
-                raise NfaShapeError(f"gamma cycle through {self.states[cur]!r}")
-            seen.add(cur)
-            edge = self.gamma_out[cur]
-            if edge is None:
-                raise NfaShapeError(
-                    f"non-final state {self.states[cur]!r} has no gamma edge"
-                )
-            labels.append(edge[0])
-            cur = edge[1]
-        result = self._walks[y] = (tuple(labels), cur)
-        return result
+    def _indexed(self, reach: dict[NfaState, set[NfaState]]) -> list[frozenset[int]]:
+        """Per-state closures by index; a state without an entry reaches
+        only itself."""
+        index = self.index
+        return [
+            frozenset(index[t] for t in reach[s]) if s in reach else frozenset((i,))
+            for i, s in enumerate(self.states)
+        ]
 
     def _forward_levels(self, z0: int, labels: tuple[Symbol, ...]) -> tuple:
         """Level i holds the states reachable from z0 after i label hops."""
@@ -230,35 +104,17 @@ class _IndexedNfa:
         result = self._bwd_levels[key] = tuple(levels)
         return result
 
-    def scan(self, x: int, sigma: StackString, q: int) -> frozenset[tuple[int, int]]:
-        """Epsilon edges on complete pop paths; see scan_eps_on_paths."""
-        key = (x, sigma, q)
-        cached = self._scans.get(key)
-        if cached is not None:
-            return cached
-        hop = self.gamma_out[x]
-        if hop is None or hop[0] != sigma[-1]:
-            result: frozenset[tuple[int, int]] = frozenset()
-        else:
-            labels = tuple(reversed(sigma[:-1]))
-            fwd = self._forward_levels(hop[1], labels)
-            bwd = self._backward_levels(q, labels)
-            found: set[tuple[int, int]] = set()
-            for f_level, b_level in zip(fwd, bwd):
-                if not f_level or not b_level:
-                    continue
-                for u in f_level:
-                    for v in self.eps_out_set[u] & b_level:
-                        found.add((u, v))
-            result = frozenset(found)
-        self._scans[key] = result
-        return result
-
     def scan_fresh(
         self, x: int, sigma: StackString, q: int, memo_out: dict[int, set[int]]
     ) -> list[tuple[int, int]]:
-        """Like scan, but suppresses edges recorded in ``memo_out`` and
-        extends it; across a whole run each edge surfaces at most once."""
+        """Epsilon edges on complete pop paths x --a--> z ==sigma'==> q.
+
+        ``a`` is sigma's bottom-most symbol; after that hop the remaining
+        labels may interleave with epsilon edges anywhere, so an edge
+        qualifies when it joins forward level i to backward level i.  Edges
+        recorded in ``memo_out`` are suppressed and new ones added to it, so
+        across a whole run each edge surfaces at most once.
+        """
         hop = self.gamma_out[x]
         if hop is None or hop[0] != sigma[-1]:
             return []
@@ -290,7 +146,6 @@ def run_backward(
     fwd: ForwardResult,
     p1: Pda,
     *,
-    memoize: bool = True,
     pick: Callable[[list], int] | None = None,
 ) -> BackwardResult:
     """Compute U2, the transitions of P1 that reach no accepting run.
@@ -298,9 +153,9 @@ def run_backward(
     ``p1`` must be P0 with the unreachable transitions removed; its single
     final state is the augmented one.  If the NFA lacks the edge
     m0 ->eps qf the accepted language is empty and every transition of P1
-    is returned.  ``pick`` overrides the FIFO worklist discipline (it gets
-    the list of pending entries and returns an index); the result set does
-    not depend on it.
+    is returned, flagged ``empty_language``.  ``pick`` overrides the FIFO
+    worklist discipline (it gets the list of pending entries and returns an
+    index); the result set does not depend on it.
     """
     nfa = fwd.nfa
     if len(p1.finals) != 1:
@@ -308,26 +163,26 @@ def run_backward(
     (qf,) = p1.finals
     all_ids = frozenset(t.id for t in p1.transitions)
     if (nfa.initial, NfaState.inherited(qf)) not in nfa.eps_edges:
-        return BackwardResult(u2=all_ids, iterations=0)
+        return BackwardResult(u2=all_ids, iterations=0, empty_language=True)
 
-    infa = _IndexedNfa(nfa)
+    infa = _IndexedNfa(nfa, fwd.closure)
     seed = (infa.index[nfa.initial], infa.index[NfaState.inherited(qf)])
 
-    by_push_target: dict[tuple[StackString, str], list] = {}
+    # Every epsilon edge ends at the head of some transition's push path.
+    by_head: dict[int, list] = {}
     ssets_idx: dict[tuple[str, StackString], frozenset[int]] = {}
     for t in p1.transitions:
-        by_push_target.setdefault((t.push, t.target), []).append(t)
+        if t.id in fwd.path_head:
+            by_head.setdefault(infa.index[fwd.path_head[t.id]], []).append(t)
         key = (t.source, t.pop)
         if key not in ssets_idx:
-            ssets_idx[key] = frozenset(
-                infa.index[s] for s in fwd.ssets.get(key, ()) if s in infa.index
-            )
+            ssets_idx[key] = frozenset(infa.index[s] for s in fwd.ssets.get(key, ()))
 
     u2 = set(all_ids)
     enqueued: set[tuple[int, int]] = {seed}
     pending: deque[tuple[int, int]] | list[tuple[int, int]]
     pending = deque([seed]) if pick is None else [seed]
-    memo_out: dict[int, set[int]] | None = {} if memoize else None
+    memo_out: dict[int, set[int]] = {}
     iterations = 0
 
     while pending:
@@ -336,23 +191,15 @@ def run_backward(
         else:
             x, y = pending.pop(pick(list(pending)))
         iterations += 1
-        labels, r = infa.walk(y)
-        push = tuple(reversed(labels))
-        for t in by_push_target.get((push, infa.states[r].key), ()):
+        for t in by_head.get(y, ()):
             if x not in ssets_idx[(t.source, t.pop)]:
                 continue
             u2.discard(t.id)
             if t.pop:
-                q_idx = infa.index.get(NfaState.inherited(t.source))
-                if q_idx is None:
-                    continue
-                if memo_out is not None:
-                    fresh = infa.scan_fresh(x, t.pop, q_idx, memo_out)
-                else:
-                    fresh = sorted(infa.scan(x, t.pop, q_idx))
-                for edge in fresh:
+                q_idx = infa.index[NfaState.inherited(t.source)]
+                for edge in infa.scan_fresh(x, t.pop, q_idx, memo_out):
                     if edge not in enqueued:
                         enqueued.add(edge)
                         pending.append(edge)
 
-    return BackwardResult(u2=frozenset(u2), iterations=iterations)
+    return BackwardResult(u2=frozenset(u2), iterations=iterations, empty_language=False)

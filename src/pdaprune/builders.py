@@ -2,8 +2,7 @@
 
 import random
 
-from .model import Pda, PdaTransition, validate
-from .oracle import Grammar
+from .model import Grammar, Pda, PdaTransition, validate
 
 
 def random_pda(
@@ -53,7 +52,9 @@ def random_pda(
         initial=states[0],
         finals=finals,
     )
-    assert not validate(pda)
+    diags = validate(pda)
+    if diags:
+        raise ValueError("random_pda built an invalid pda: " + "; ".join(diags))
     return pda
 
 

@@ -37,6 +37,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _number(kind, low, high=None):
+    """argparse type: a ``kind`` value in [low, high], unbounded above if
+    ``high`` is None.  Out-of-range values are usage errors."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (low <= value and (high is None or value <= high)):
+            limits = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"{text} is not {limits}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse reports "invalid int value: ..."
+    return parse
+
+
 def _load_pda(path: str) -> Pda:
     with open(path, encoding="utf-8") as fh:
         return parse_pda(fh.read())
@@ -82,11 +97,6 @@ def main(argv: list[str] | None = None) -> int:
     p_analyze = sub.add_parser("analyze", help="classify transitions")
     p_analyze.add_argument("pda")
     p_analyze.add_argument("--stats", action="store_true")
-    p_analyze.add_argument(
-        "--no-closure-index",
-        action="store_true",
-        help="debug: recompute epsilon scans instead of maintaining the index",
-    )
 
     p_prune = sub.add_parser("prune", help="write the pda minus useless transitions")
     p_prune.add_argument("pda")
@@ -104,18 +114,18 @@ def main(argv: list[str] | None = None) -> int:
     mode.add_argument(
         "--bounded",
         nargs=2,
-        type=int,
+        type=_number(int, 0),
         metavar=("STACK", "MOVES"),
         help="explicit-search oracle with the given bounds",
     )
 
     p_gen = sub.add_parser("gen", help="generate a seeded random pda")
     p_gen.add_argument("--seed", type=int, default=None)
-    p_gen.add_argument("--states", type=int, default=6)
-    p_gen.add_argument("--trans", type=int, default=12)
-    p_gen.add_argument("--pop-push", type=int, default=2)
-    p_gen.add_argument("--gamma", type=int, default=3)
-    p_gen.add_argument("--final-prob", type=float, default=0.35)
+    p_gen.add_argument("--states", type=_number(int, 1), default=6)
+    p_gen.add_argument("--trans", type=_number(int, 0), default=12)
+    p_gen.add_argument("--pop-push", type=_number(int, 0), default=2)
+    p_gen.add_argument("--gamma", type=_number(int, 1), default=3)
+    p_gen.add_argument("--final-prob", type=_number(float, 0.0, 1.0), default=0.35)
     p_gen.add_argument("-o", "--output", default=None)
 
     p_cfg = sub.add_parser("cfg2pda", help="convert a grammar to a pda")
@@ -127,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "analyze":
             pda = _load_pda(args.pda)
-            report = analyze(pda, use_closure_index=not args.no_closure_index)
+            report = analyze(pda)
             print("\n".join(_report_lines(pda, report, args.stats)))
             return EXIT_EMPTY if report.empty_language else EXIT_OK
 

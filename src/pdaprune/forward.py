@@ -7,10 +7,11 @@ each of them gets an epsilon jump to the head of the (unique) path that
 spells the reversed push string into r.  Path establishment shares existing
 suffixes, so per transition at most one path is ever created.
 
-The backward epsilon-closure index is the first of the two documented
+The epsilon-closure index is the first of the two documented
 optimizations: it replaces per-query backward scans over epsilon edges.
-It can be switched off (``use_closure_index=False``) to cross-check results;
-both modes must agree.
+It is always maintained, because the backward procedure reads its closures;
+``use_closure_index=False`` only makes ``compute_s`` scan the epsilon edges
+instead of reading it, to cross-check results.  Both modes must agree.
 """
 
 from dataclasses import dataclass, field
@@ -136,7 +137,7 @@ class ForwardResult:
     ssets: dict[tuple[str, StackString], frozenset[NfaState]]
     path_head: dict[str, NfaState]
     passes: int
-    closure: EpsClosure | None = field(default=None, repr=False)
+    closure: EpsClosure = field(repr=False)
 
 
 def run_forward(p0: Pda, bottom: Symbol, *, use_closure_index: bool = True) -> ForwardResult:
@@ -147,18 +148,23 @@ def run_forward(p0: Pda, bottom: Symbol, *, use_closure_index: bool = True) -> F
     """
     nfa = NfaSummary()
     nfa.add_gamma_edge(M0, bottom, NfaState.inherited(p0.initial))
-    closure = EpsClosure() if use_closure_index else None
+    closure = EpsClosure()
+    index = closure if use_closure_index else None
 
     u1 = {t.id for t in p0.transitions}
     path_head: dict[str, NfaState] = {}
+    # Overwritten every pass; the final pass changes nothing, so its values
+    # are the S-sets of the finished NFA that the backward procedure needs.
+    ssets: dict[tuple[str, StackString], set[NfaState]] = {}
     passes = 0
     while True:
         passes += 1
         changed = False
         for t in p0.transitions:
             if NfaState.inherited(t.source) not in nfa.states:
+                ssets[(t.source, t.pop)] = set()
                 continue
-            s_set = compute_s(nfa, t.source, t.pop, closure)
+            s_set = ssets[(t.source, t.pop)] = compute_s(nfa, t.source, t.pop, index)
             if not s_set:
                 continue
             if t.id in u1:
@@ -174,21 +180,15 @@ def run_forward(p0: Pda, bottom: Symbol, *, use_closure_index: bool = True) -> F
                 head = path_head[t.id]
             for x in sorted(s_set, key=NfaState.sort_key):
                 if nfa.add_eps_edge(x, head):
-                    if closure is not None:
-                        closure.add_edge(x, head)
+                    closure.add_edge(x, head)
                     changed = True
         if not changed:
             break
 
-    # The values from the final (unchanged) pass, for the backward procedure.
-    ssets = {
-        (t.source, t.pop): frozenset(compute_s(nfa, t.source, t.pop, closure))
-        for t in p0.transitions
-    }
     return ForwardResult(
         nfa=nfa,
         u1=frozenset(u1),
-        ssets=ssets,
+        ssets={key: frozenset(s) for key, s in ssets.items()},
         path_head=path_head,
         passes=passes,
         closure=closure,

@@ -1,4 +1,5 @@
-"""Core domain types: pushdown automata, configurations, and the summary NFA.
+"""Core domain types: pushdown automata, configurations, context-free
+grammars and the summary NFA.
 
 Stack strings are tuples of symbol names written TOP-FIRST: index 0 is the
 top of the stack.  A transition ``q --in, pop/push--> r`` applicable in
@@ -9,7 +10,7 @@ inside the PDA semantics.
 
 import re
 from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple
+from typing import Hashable, Iterator, NamedTuple
 
 Symbol = str
 StackString = tuple[Symbol, ...]
@@ -121,24 +122,59 @@ def validate(pda: Pda) -> list[str]:
     return diags
 
 
-def step(pda: Pda, cfg: Configuration) -> set[tuple[str, Configuration]]:
-    """All single moves from ``cfg``; input symbols are disregarded.
-
-    Returns pairs (transition id, successor configuration).
-    """
-    out: set[tuple[str, Configuration]] = set()
-    for t in pda.transitions:
-        if t.source != cfg.state:
-            continue
-        k = len(t.pop)
-        if cfg.stack[:k] == t.pop:
-            out.add((t.id, Configuration(t.target, t.push + cfg.stack[k:])))
-    return out
-
-
 def remove_transitions(pda: Pda, ids: set[str]) -> Pda:
     """Copy of ``pda`` without the transitions named in ``ids``."""
     return replace(pda, transitions=tuple(t for t in pda.transitions if t.id not in ids))
+
+
+# ---------------------------------------------------------------------------
+# Context-free grammars
+
+GrammarSymbol = Hashable
+
+
+@dataclass(frozen=True)
+class Grammar:
+    """Context-free grammar; symbols may be any hashable values."""
+
+    nonterminals: frozenset
+    terminals: frozenset
+    productions: tuple[tuple[GrammarSymbol, tuple[GrammarSymbol, ...]], ...]
+    start: GrammarSymbol
+
+    def __post_init__(self):
+        if self.start not in self.nonterminals:
+            raise ValueError("start symbol is not a declared nonterminal")
+        for lhs, rhs in self.productions:
+            if lhs not in self.nonterminals:
+                raise ValueError(f"production lhs {lhs!r} is not a nonterminal")
+            for s in rhs:
+                if s not in self.nonterminals and s not in self.terminals:
+                    raise ValueError(f"undeclared symbol {s!r} in production rhs")
+
+
+def make_grammar(
+    productions: list[tuple[GrammarSymbol, tuple[GrammarSymbol, ...]]],
+    start: GrammarSymbol | None = None,
+) -> Grammar:
+    """Build a grammar deriving symbol roles: lhs symbols are nonterminal."""
+    if not productions and start is None:
+        raise ValueError("cannot infer a start symbol from an empty grammar")
+    nonterminals = {lhs for lhs, _ in productions}
+    if start is None:
+        start = productions[0][0]
+    nonterminals.add(start)
+    terminals = set()
+    for _, rhs in productions:
+        for s in rhs:
+            if s not in nonterminals:
+                terminals.add(s)
+    return Grammar(
+        nonterminals=frozenset(nonterminals),
+        terminals=frozenset(terminals),
+        productions=tuple(productions),
+        start=start,
+    )
 
 
 # ---------------------------------------------------------------------------

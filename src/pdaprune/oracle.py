@@ -10,57 +10,18 @@ with the detector being verified.
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Hashable
 
 from .augment import AugmentedPda, augment
-from .model import Configuration, Pda, PdaTransition, StackString, Symbol, validate
-
-GrammarSymbol = Hashable
-
-
-@dataclass(frozen=True)
-class Grammar:
-    """Context-free grammar; symbols may be any hashable values."""
-
-    nonterminals: frozenset
-    terminals: frozenset
-    productions: tuple[tuple[GrammarSymbol, tuple[GrammarSymbol, ...]], ...]
-    start: GrammarSymbol
-
-    def __post_init__(self):
-        if self.start not in self.nonterminals:
-            raise ValueError("start symbol is not a declared nonterminal")
-        for lhs, rhs in self.productions:
-            if lhs not in self.nonterminals:
-                raise ValueError(f"production lhs {lhs!r} is not a nonterminal")
-            for s in rhs:
-                if s not in self.nonterminals and s not in self.terminals:
-                    raise ValueError(f"undeclared symbol {s!r} in production rhs")
-
-
-def make_grammar(
-    productions: list[tuple[GrammarSymbol, tuple[GrammarSymbol, ...]]],
-    start: GrammarSymbol | None = None,
-) -> Grammar:
-    """Build a grammar deriving symbol roles: lhs symbols are nonterminal."""
-    if not productions and start is None:
-        raise ValueError("cannot infer a start symbol from an empty grammar")
-    nonterminals = {lhs for lhs, _ in productions}
-    if start is None:
-        start = productions[0][0]
-    nonterminals.add(start)
-    terminals = set()
-    for _, rhs in productions:
-        for s in rhs:
-            if s not in nonterminals:
-                terminals.add(s)
-    return Grammar(
-        nonterminals=frozenset(nonterminals),
-        terminals=frozenset(terminals),
-        productions=tuple(productions),
-        start=start,
-    )
-
+from .model import (
+    Configuration,
+    Grammar,
+    GrammarSymbol,
+    Pda,
+    PdaTransition,
+    StackString,
+    Symbol,
+    validate,
+)
 
 # ---------------------------------------------------------------------------
 # Bounded explicit-state search
@@ -92,31 +53,6 @@ def bounded_reachable(
                 seen.add(nxt)
                 frontier.append((nxt, dist + 1))
     return seen
-
-
-def bounded_fired(
-    pda: Pda, start: Configuration, max_stack: int
-) -> frozenset[str]:
-    """Transitions that fire on some run within the stack bound."""
-    by_source = pda.by_source()
-    fired: set[str] = set()
-    seen = {start}
-    frontier = deque([start])
-    while frontier:
-        cfg = frontier.popleft()
-        for t in by_source.get(cfg.state, ()):
-            k = len(t.pop)
-            if cfg.stack[:k] != t.pop:
-                continue
-            stack = t.push + cfg.stack[k:]
-            if len(stack) > max_stack:
-                continue
-            fired.add(t.id)
-            nxt = Configuration(t.target, stack)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(fired)
 
 
 def bounded_useful(pda: Pda, max_stack: int, max_moves: int) -> frozenset[str]:
@@ -467,23 +403,6 @@ def bounded_derivations(g: Grammar, max_len: int) -> set[tuple[GrammarSymbol, ..
                 lang[lhs] |= fresh
                 changed = True
     return lang[g.start]
-
-
-def strip_markers(g: Grammar) -> Grammar:
-    """The same grammar with marker terminals erased from every rhs."""
-    productions = tuple(
-        (lhs, tuple(s for s in rhs if not (isinstance(s, tuple) and len(s) == 2 and s[0] == "#")))
-        for lhs, rhs in g.productions
-    )
-    terminals = frozenset(
-        s for s in g.terminals if not (isinstance(s, tuple) and len(s) == 2 and s[0] == "#")
-    )
-    return Grammar(
-        nonterminals=g.nonterminals,
-        terminals=terminals,
-        productions=productions,
-        start=g.start,
-    )
 
 
 def exact_useless(pda: Pda) -> frozenset[str]:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 from .augment import AugmentedPda, augment
 from .backward import BackwardResult, run_backward
 from .forward import ForwardResult, run_forward
-from .model import M0, NfaState, Pda, remove_transitions, validate
+from .model import Pda, remove_transitions, validate
 
 
 class InvalidPdaError(ValueError):
@@ -69,7 +69,6 @@ def run_pipeline(pda: Pda, *, use_closure_index: bool = True) -> PipelineResult:
     aug = augment(replace(pda, transitions=tuple(reps)))
     fwd = run_forward(aug.p0, aug.bottom_marker, use_closure_index=use_closure_index)
     p1 = remove_transitions(aug.p0, set(fwd.u1))
-    empty = (M0, NfaState.inherited(aug.final_state)) not in fwd.nfa.eps_edges
     bwd = run_backward(fwd, p1)
 
     def fan_out(p0_ids) -> frozenset[str]:
@@ -77,7 +76,7 @@ def run_pipeline(pda: Pda, *, use_closure_index: bool = True) -> PipelineResult:
         for tid in p0_ids:
             if aug.is_synthetic(tid):
                 continue
-            out.update(groups[rep_of[aug.origin_of[tid]]])
+            out.update(groups[rep_of[tid]])
         return frozenset(out)
 
     unreachable = fan_out(fwd.u1)
@@ -87,7 +86,7 @@ def run_pipeline(pda: Pda, *, use_closure_index: bool = True) -> PipelineResult:
         unreachable=unreachable,
         dead=dead,
         useful=useful,
-        empty_language=empty,
+        empty_language=bwd.empty_language,
         stats=AnalysisStats(
             nfa_states=len(fwd.nfa.states),
             gamma_edges=fwd.nfa.gamma_edge_count(),

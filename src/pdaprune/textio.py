@@ -16,8 +16,7 @@ separates alternatives on input), plus an optional ``%start A`` line;
 a symbol is a terminal iff it never appears on a left-hand side.
 """
 
-from .model import Pda, PdaTransition, StackString, validate
-from .oracle import Grammar, make_grammar
+from .model import Grammar, Pda, PdaTransition, StackString, make_grammar, validate
 
 
 class PdaFormatError(ValueError):

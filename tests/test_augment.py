@@ -1,6 +1,7 @@
-from pdaprune import Configuration, augment, step, support_initial_stack, validate
+from pdaprune import Configuration, augment, validate
 
 from .conftest import make_pda
+from .reference import step, support_initial_stack
 
 
 def test_augment_example1(example1):
@@ -48,7 +49,7 @@ def test_augment_partitions_ids(example1):
     aug = augment(example1)
     p0_ids = set(aug.p0.transition_ids())
     originals = {tid for tid in p0_ids if not aug.is_synthetic(tid)}
-    assert originals == set(aug.origin_of)
+    assert originals == set(example1.transition_ids())
     assert originals | aug.synthetic_ids == p0_ids
     assert not originals & aug.synthetic_ids
 

@@ -7,12 +7,11 @@ from pdaprune import (
     NfaSummary,
     run_backward,
     run_forward,
-    scan_eps_on_paths,
-    unique_gamma_path,
 )
 from pdaprune.model import remove_transitions
 
 from .conftest import make_pda
+from .reference import scan_eps_on_paths, unique_gamma_path
 
 
 def N(name):
@@ -37,6 +36,7 @@ def mids(nfa):
 def test_backward_worked_example(golden, example1_p0_restricted):
     result = run_backward(golden, example1_p0_restricted)
     assert result.u2 == {"t3"}
+    assert not result.empty_language
 
 
 def test_backward_regression_no_substitution(golden, example1_p0_restricted):
@@ -60,6 +60,7 @@ def test_backward_empty_language_shortcut(golden, example1_p0_restricted):
     result = run_backward(fwd, p1)
     assert result.u2 == {t.id for t in p1.transitions}
     assert result.iterations == 0
+    assert result.empty_language
 
 
 def test_backward_minimal_single_step():
@@ -119,21 +120,6 @@ def test_scan_eps_worked_values(golden):
     assert scan_eps_on_paths(nfa, m["n2"], ("d", "b"), "q2") == {(N("q1"), m["n4"])}
 
 
-def test_scan_eps_memo_idempotent(golden):
-    nfa = golden.nfa
-    memo = set()
-    first = scan_eps_on_paths(nfa, M0, ("b0",), "q3", memo)
-    assert len(first) == 4
-    again = scan_eps_on_paths(nfa, M0, ("b0",), "q3", memo)
-    assert again == set()
-
-
-def test_backward_memo_flag_equivalent(golden, example1_p0_restricted):
-    with_memo = run_backward(golden, example1_p0_restricted, memoize=True)
-    without = run_backward(golden, example1_p0_restricted, memoize=False)
-    assert with_memo.u2 == without.u2
-
-
 def test_backward_order_independent(golden, example1_p0_restricted):
     fifo = run_backward(golden, example1_p0_restricted)
     lifo = run_backward(golden, example1_p0_restricted, pick=lambda pending: len(pending) - 1)
@@ -144,8 +130,6 @@ def test_backward_order_independent(golden, example1_p0_restricted):
 def test_backward_monotone_shrinking(golden, example1_p0_restricted):
     """u2 only loses members as edges are processed."""
     from collections import deque
-
-    from pdaprune.backward import unique_gamma_path as walk
 
     fwd = golden
     p1 = example1_p0_restricted
@@ -160,7 +144,7 @@ def test_backward_monotone_shrinking(golden, example1_p0_restricted):
     pending = deque([seed])
     while pending:
         x, y = pending.popleft()
-        labels, r = walk(nfa, y)
+        labels, r = unique_gamma_path(nfa, y)
         for t in by_push_target.get((tuple(reversed(labels)), r.key), ()):
             if x not in fwd.ssets.get((t.source, t.pop), ()):
                 continue

@@ -39,13 +39,6 @@ def test_analyze_stats_flag(example1_file, capsys):
     assert "# passes:" in out
 
 
-def test_analyze_no_closure_index_same_output(example1_file, capsys):
-    main(["analyze", example1_file])
-    base = capsys.readouterr().out
-    main(["analyze", "--no-closure-index", example1_file])
-    assert capsys.readouterr().out == base
-
-
 def test_analyze_deterministic_bytes(example1_file, capsys):
     main(["analyze", example1_file])
     first = capsys.readouterr().out
@@ -120,6 +113,29 @@ def test_verify_mismatch_exit_4(example1_file, capsys, monkeypatch):
 
 def test_usage_error_exit_1(capsys):
     assert pytest.raises(SystemExit, main, ["bogus"]).value.code == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "PDA", "--bounded", "-1", "8"],
+        ["verify", "PDA", "--bounded", "4", "-5"],
+        ["verify", "PDA", "--bounded", "-1", "-5"],
+        ["gen", "--states", "0"],
+        ["gen", "--gamma", "0"],
+        ["gen", "--trans", "-3"],
+        ["gen", "--pop-push", "-1"],
+        ["gen", "--final-prob", "5"],
+        ["gen", "--final-prob", "-1"],
+        ["gen", "--final-prob", "nan"],
+    ],
+)
+def test_nonsense_numbers_are_usage_errors(args, example1_file, capsys):
+    argv = [example1_file if a == "PDA" else a for a in args]
+    assert pytest.raises(SystemExit, main, argv).value.code == 1
+    captured = capsys.readouterr()
+    assert "MATCH" not in captured.out
+    assert "error:" in captured.err
 
 
 def test_parse_error_exit_2(tmp_path, capsys):

@@ -238,9 +238,22 @@ def scratch_backward(nfa, s):
     return out
 
 
+def scratch_forward(nfa, s):
+    out = {s}
+    frontier = [s]
+    while frontier:
+        cur = frontier.pop()
+        for n in nfa.eps_out.get(cur, ()):
+            if n not in out:
+                out.add(n)
+                frontier.append(n)
+    return out
+
+
 def test_closure_matches_scratch_on_golden(golden):
     for s in golden.nfa.states:
         assert golden.closure.backward(s) == scratch_backward(golden.nfa, s)
+        assert golden.closure.forward(s) == scratch_forward(golden.nfa, s)
 
 
 @settings(max_examples=60, deadline=None)
@@ -260,6 +273,7 @@ def test_closure_incremental_equals_scratch(edges):
             closure.add_edge(nodes[i], nodes[j])
     for s in nodes:
         assert closure.backward(s) == scratch_backward(nfa, s)
+        assert closure.forward(s) == scratch_forward(nfa, s)
 
 
 def naive_s(nfa, q, sigma):

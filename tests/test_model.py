@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pdaprune import Configuration, NfaState, NfaSummary, step, validate
+from pdaprune import Configuration, NfaState, NfaSummary, validate
 from pdaprune.model import NfaShapeError, is_valid_name, remove_transitions
 
 from .conftest import make_pda
+from .reference import step
 
 
 def test_validate_accepts_example1(example1):

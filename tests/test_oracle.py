@@ -15,9 +15,10 @@ from pdaprune import (
     pda_to_grammar,
     random_pda,
 )
-from pdaprune.oracle import bounded_fired, marker_for, strip_markers
+from pdaprune.oracle import marker_for
 
 from .conftest import make_pda
+from .reference import bounded_fired, strip_markers
 
 
 def test_bounded_useful_example1(example1):

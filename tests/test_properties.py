@@ -13,10 +13,10 @@ from pdaprune import (
     run_forward,
 )
 from pdaprune.model import remove_transitions
-from pdaprune.oracle import bounded_fired
 
 from .conftest import corpus, nfa_accepted_configs, shuffled_transitions
-from .test_forward import naive_s, scratch_backward
+from .reference import bounded_fired, reference_backward, unique_gamma_path
+from .test_forward import naive_s, scratch_backward, scratch_forward
 
 
 def forward_of(pda):
@@ -31,7 +31,7 @@ def test_shape_invariants_hold_on_corpus():
 
 
 def test_path_heads_spell_reversed_push_strings():
-    from pdaprune import NfaState, unique_gamma_path
+    from pdaprune import NfaState
 
     for pda in corpus(40):
         aug, fwd = forward_of(pda)
@@ -56,6 +56,7 @@ def test_closure_matches_scratch_on_corpus():
         _, fwd = forward_of(pda)
         for s in fwd.nfa.states:
             assert fwd.closure.backward(s) == scratch_backward(fwd.nfa, s)
+            assert fwd.closure.forward(s) == scratch_forward(fwd.nfa, s)
 
 
 def test_closure_flag_equivalent_on_corpus():
@@ -86,15 +87,6 @@ def test_backward_worklist_order_independence():
         rng = random.Random(i)
         rnd = run_backward(fwd, p1, pick=lambda pending: rng.randrange(len(pending)))
         assert fifo.u2 == lifo.u2 == rnd.u2, pda
-
-
-def test_backward_memo_equivalence_on_corpus():
-    for pda in corpus(40):
-        aug, fwd = forward_of(pda)
-        p1 = remove_transitions(aug.p0, set(fwd.u1))
-        assert run_backward(fwd, p1, memoize=True).u2 == run_backward(
-            fwd, p1, memoize=False
-        ).u2, pda
 
 
 def test_backward_processes_each_eps_edge_once():
@@ -170,41 +162,13 @@ def test_bounded_witnesses_always_classified_useful():
             assert bounded_useful(pda, h, m) <= report.useful, (pda, h, m)
 
 
-def reference_backward(fwd, p1):
-    """Worklist built directly on the public per-step operations."""
-    from collections import deque
-
-    from pdaprune import M0, NfaState, scan_eps_on_paths, unique_gamma_path
-
-    nfa = fwd.nfa
-    (qf,) = p1.finals
-    seed = (M0, NfaState.inherited(qf))
-    if seed not in nfa.eps_edges:
-        return frozenset(t.id for t in p1.transitions)
-    by_push_target = {}
-    for t in p1.transitions:
-        by_push_target.setdefault((t.push, t.target), []).append(t)
-    u2 = {t.id for t in p1.transitions}
-    enqueued = {seed}
-    pending = deque([seed])
-    while pending:
-        x, y = pending.popleft()
-        labels, r = unique_gamma_path(nfa, y)
-        for t in by_push_target.get((tuple(reversed(labels)), r.key), ()):
-            if x not in fwd.ssets.get((t.source, t.pop), ()):
-                continue
-            u2.discard(t.id)
-            if t.pop:
-                for edge in scan_eps_on_paths(nfa, x, t.pop, t.source):
-                    if edge not in enqueued:
-                        enqueued.add(edge)
-                        pending.append(edge)
-    return frozenset(u2)
-
-
-def test_backward_engine_matches_reference():
+def test_backward_engine_matches_reference(example1_p0_restricted):
     """The indexed fast path inside run_backward computes the same set as a
     naive loop over unique_gamma_path and scan_eps_on_paths."""
+    golden = run_forward(example1_p0_restricted, "b0")
+    assert run_backward(golden, example1_p0_restricted).u2 == reference_backward(
+        golden, example1_p0_restricted
+    )
     for pda in corpus(60):
         aug, fwd = forward_of(pda)
         p1 = remove_transitions(aug.p0, set(fwd.u1))
