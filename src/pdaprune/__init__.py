@@ -22,12 +22,12 @@ from .model import (
     Configuration,
     Grammar,
     NfaShapeError,
-    NfaState,
     NfaSummary,
     Pda,
     PdaTransition,
     StackString,
     Symbol,
+    is_final,
     make_grammar,
     nfa_shape_violations,
     validate,
@@ -66,7 +66,6 @@ __all__ = [
     "InvalidPdaError",
     "M0",
     "NfaShapeError",
-    "NfaState",
     "NfaSummary",
     "NormalizedPda",
     "Pda",
@@ -85,6 +84,7 @@ __all__ = [
     "establish_path",
     "exact_useless",
     "grammar_useless",
+    "is_final",
     "make_grammar",
     "nfa_shape_violations",
     "nfa_to_dot",

@@ -21,6 +21,8 @@ def random_pda(
     """
     if max_states < 1 or gamma_size < 1 or max_trans < 0 or max_pop_push < 0:
         raise ValueError("size parameters must be positive")
+    if not 0.0 <= final_prob <= 1.0:  # also rejects NaN
+        raise ValueError(f"final_prob must be in [0, 1], got {final_prob}")
     rng = random.Random(seed)
     states = tuple(f"q{i}" for i in range(max_states))
     inputs = ("x", "y")

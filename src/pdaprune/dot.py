@@ -5,7 +5,7 @@ incoming arrow from a point-shaped helper node, and the empty string is
 rendered as "eps".
 """
 
-from .model import NfaSummary, Pda, eps_edge_key
+from .model import M0, NfaSummary, Pda, State, is_final
 
 
 def _quote(s: str) -> str:
@@ -28,19 +28,30 @@ def pda_to_dot(pda: Pda) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _order(s: State) -> tuple:
+    """m0 first, then PDA states by name, then intermediates by number."""
+    return (s != M0, not is_final(s), s)
+
+
+def _label(s: State) -> str:
+    if is_final(s):
+        return s
+    return "m0" if s == M0 else f"n{s}"
+
+
 def nfa_to_dot(nfa: NfaSummary) -> str:
-    states = sorted(nfa.states, key=lambda s: s.sort_key())
+    states = sorted(nfa.states, key=_order)
     names = {s: f"s{i}" for i, s in enumerate(states)}
     lines = ["digraph nfa {", "  rankdir=LR;", '  __start [shape=point, label=""];']
     for s in states:
-        shape = "doublecircle" if s.final else "circle"
-        lines.append(f"  {names[s]} [shape={shape}, label={_quote(s.label())}];")
+        shape = "doublecircle" if is_final(s) else "circle"
+        lines.append(f"  {names[s]} [shape={shape}, label={_quote(_label(s))}];")
     lines.append(f"  __start -> {names[nfa.initial]};")
     for src, label, dst in sorted(
-        nfa.gamma_edges(), key=lambda e: (e[0].sort_key(), e[1], e[2].sort_key())
+        nfa.gamma_edges(), key=lambda e: (_order(e[0]), e[1], _order(e[2]))
     ):
         lines.append(f"  {names[src]} -> {names[dst]} [label={_quote(label)}];")
-    for x, y in sorted(nfa.eps_edges, key=eps_edge_key):
+    for x, y in sorted(nfa.eps_edges, key=lambda e: (_order(e[0]), _order(e[1]))):
         lines.append(f'  {names[x]} -> {names[y]} [label="eps", style=dashed];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -9,21 +9,15 @@ suffixes, so per transition at most one path is ever created.
 
 The epsilon-closure index is the first of the two documented
 optimizations: it replaces per-query backward scans over epsilon edges.
-It is always maintained, because the backward procedure reads its closures;
+It is always maintained, because the backward procedure reads this NFA and
+its closures as built, without copying or re-indexing them;
 ``use_closure_index=False`` only makes ``compute_s`` scan the epsilon edges
 instead of reading it, to cross-check results.  Both modes must agree.
 """
 
 from dataclasses import dataclass, field
 
-from .model import (
-    M0,
-    NfaState,
-    NfaSummary,
-    Pda,
-    StackString,
-    Symbol,
-)
+from .model import M0, NfaSummary, Pda, StackString, State, Symbol
 
 
 class EpsClosure:
@@ -36,16 +30,16 @@ class EpsClosure:
     """
 
     def __init__(self) -> None:
-        self.to: dict[NfaState, set[NfaState]] = {}
-        self.fro: dict[NfaState, set[NfaState]] = {}
+        self.to: dict[State, set[State]] = {}
+        self.fro: dict[State, set[State]] = {}
 
-    def backward(self, s: NfaState) -> set[NfaState]:
+    def backward(self, s: State) -> set[State]:
         return self.to.setdefault(s, {s})
 
-    def forward(self, s: NfaState) -> set[NfaState]:
+    def forward(self, s: State) -> set[State]:
         return self.fro.setdefault(s, {s})
 
-    def add_edge(self, x: NfaState, y: NfaState) -> None:
+    def add_edge(self, x: State, y: State) -> None:
         if y in self.forward(x):
             return
         sources = set(self.backward(x))
@@ -57,11 +51,11 @@ class EpsClosure:
 
 
 def eps_backward_set(
-    nfa: NfaSummary, targets: set[NfaState], closure: EpsClosure | None
-) -> set[NfaState]:
+    nfa: NfaSummary, targets: set[State], closure: EpsClosure | None
+) -> set[State]:
     """States with an epsilon-only path into ``targets`` (reflexive)."""
     if closure is not None:
-        out: set[NfaState] = set()
+        out: set[State] = set()
         for t in targets:
             out |= closure.backward(t)
         return out
@@ -81,20 +75,17 @@ def compute_s(
     q: str,
     sigma: StackString,
     closure: EpsClosure | None = None,
-) -> set[NfaState]:
+) -> set[State]:
     """The set S(q, sigma) of NFA states from which popping sigma reaches q.
 
-    Scans backwards from the inherited state of q, peeling sigma top-first;
+    Scans backwards from q's own NFA state, peeling sigma top-first;
     epsilon expansion is allowed before every hop but not after the last one,
     so results are exactly the sources of a real gamma edge labeled with
     sigma's bottom-most symbol.
     """
-    state = NfaState.inherited(q)
-    if state not in nfa.states:
+    if q not in nfa.states:
         return set()
-    if not sigma:
-        return {state}
-    targets = {state}
+    targets = {q}
     for label in sigma:
         expanded = eps_backward_set(nfa, targets, closure)
         targets = set()
@@ -107,7 +98,7 @@ def compute_s(
     return targets
 
 
-def establish_path(nfa: NfaSummary, labels: tuple[Symbol, ...], z: NfaState) -> NfaState:
+def establish_path(nfa: NfaSummary, labels: tuple[Symbol, ...], z: State) -> State:
     """Ensure a gamma path spelling ``labels`` into ``z``; return its head.
 
     Reuses the unique existing suffix where possible and only then creates
@@ -134,8 +125,8 @@ def establish_path(nfa: NfaSummary, labels: tuple[Symbol, ...], z: NfaState) -> 
 class ForwardResult:
     nfa: NfaSummary
     u1: frozenset[str]
-    ssets: dict[tuple[str, StackString], frozenset[NfaState]]
-    path_head: dict[str, NfaState]
+    ssets: dict[tuple[str, StackString], frozenset[State]]
+    path_head: dict[str, State]
     passes: int
     closure: EpsClosure = field(repr=False)
 
@@ -147,21 +138,21 @@ def run_forward(p0: Pda, bottom: Symbol, *, use_closure_index: bool = True) -> F
     stack, which is what the seed edge m0 --bottom--> q0 encodes.
     """
     nfa = NfaSummary()
-    nfa.add_gamma_edge(M0, bottom, NfaState.inherited(p0.initial))
+    nfa.add_gamma_edge(M0, bottom, p0.initial)
     closure = EpsClosure()
     index = closure if use_closure_index else None
 
     u1 = {t.id for t in p0.transitions}
-    path_head: dict[str, NfaState] = {}
+    path_head: dict[str, State] = {}
     # Overwritten every pass; the final pass changes nothing, so its values
     # are the S-sets of the finished NFA that the backward procedure needs.
-    ssets: dict[tuple[str, StackString], set[NfaState]] = {}
+    ssets: dict[tuple[str, StackString], set[State]] = {}
     passes = 0
     while True:
         passes += 1
         changed = False
         for t in p0.transitions:
-            if NfaState.inherited(t.source) not in nfa.states:
+            if t.source not in nfa.states:
                 ssets[(t.source, t.pop)] = set()
                 continue
             s_set = ssets[(t.source, t.pop)] = compute_s(nfa, t.source, t.pop, index)
@@ -170,15 +161,13 @@ def run_forward(p0: Pda, bottom: Symbol, *, use_closure_index: bool = True) -> F
             if t.id in u1:
                 u1.remove(t.id)
                 before = (len(nfa.states), nfa.gamma_edge_count())
-                head = establish_path(
-                    nfa, tuple(reversed(t.push)), NfaState.inherited(t.target)
-                )
+                head = establish_path(nfa, tuple(reversed(t.push)), t.target)
                 path_head[t.id] = head
                 if (len(nfa.states), nfa.gamma_edge_count()) != before:
                     changed = True
             else:
                 head = path_head[t.id]
-            for x in sorted(s_set, key=NfaState.sort_key):
+            for x in s_set:
                 if nfa.add_eps_edge(x, head):
                     closure.add_edge(x, head)
                     changed = True

@@ -180,63 +180,18 @@ def make_grammar(
 # ---------------------------------------------------------------------------
 # Summary NFA
 
-_KIND_RANK = {"m0": 0, "pda": 1, "mid": 2}
+# A state of the summary NFA is a plain hashable value: a PDA state is its
+# own name (a str), the seed m0 is 0 and intermediates are the ints 1, 2, ...
+# in creation order.  PDA-inherited states are exactly the final states of
+# the NFA, so the two kinds can never collide and no name is reserved.
+State = str | int
+
+M0: State = 0
 
 
-class NfaState:
-    """State of the summary NFA: the seed m0, a PDA state, or an intermediate.
-
-    PDA-inherited states are exactly the final states of the NFA.  Instances
-    sit in hot sets during saturation, hence the slots and the cached hash.
-    """
-
-    __slots__ = ("kind", "key", "final", "_hash")
-
-    def __init__(self, kind: str, key: str | int = 0):
-        self.kind = kind
-        self.key = key
-        self.final = kind == "pda"
-        self._hash = hash((kind, key))
-
-    @classmethod
-    def inherited(cls, pda_state: str) -> "NfaState":
-        return cls("pda", pda_state)
-
-    @classmethod
-    def intermediate(cls, index: int) -> "NfaState":
-        return cls("mid", index)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, NfaState)
-            and self.kind == other.kind
-            and self.key == other.key
-        )
-
-    def sort_key(self) -> tuple[int, str | int]:
-        return (_KIND_RANK[self.kind], self.key)
-
-    def label(self) -> str:
-        if self.kind == "m0":
-            return "m0"
-        if self.kind == "pda":
-            return str(self.key)
-        return f"n{self.key}"
-
-    def __repr__(self) -> str:
-        return f"NfaState({self.label()})"
-
-
-M0 = NfaState("m0")
-
-EpsEdge = tuple[NfaState, NfaState]
-
-
-def eps_edge_key(edge: EpsEdge) -> tuple:
-    return (edge[0].sort_key(), edge[1].sort_key())
+def is_final(s: State) -> bool:
+    """Whether ``s`` is a PDA state, i.e. a final state of the summary NFA."""
+    return isinstance(s, str)
 
 
 class NfaShapeError(Exception):
@@ -253,29 +208,29 @@ class NfaSummary:
     """
 
     def __init__(self) -> None:
-        self.states: set[NfaState] = set()
-        self.gamma_out: dict[NfaState, tuple[Symbol, NfaState]] = {}
-        self.gamma_in: dict[tuple[Symbol, NfaState], NfaState] = {}
-        self.eps_edges: set[EpsEdge] = set()
-        self.eps_out: dict[NfaState, set[NfaState]] = {}
-        self.eps_in: dict[NfaState, set[NfaState]] = {}
+        self.states: set[State] = set()
+        self.gamma_out: dict[State, tuple[Symbol, State]] = {}
+        self.gamma_in: dict[tuple[Symbol, State], State] = {}
+        self.eps_edges: set[tuple[State, State]] = set()
+        self.eps_out: dict[State, set[State]] = {}
+        self.eps_in: dict[State, set[State]] = {}
         self._next_mid = 1
 
     @property
-    def initial(self) -> NfaState:
+    def initial(self) -> State:
         return M0
 
-    def ensure_state(self, s: NfaState) -> None:
+    def ensure_state(self, s: State) -> None:
         self.states.add(s)
 
-    def new_intermediate(self) -> NfaState:
-        s = NfaState.intermediate(self._next_mid)
+    def new_intermediate(self) -> State:
+        s = self._next_mid
         self._next_mid += 1
         self.states.add(s)
         return s
 
-    def add_gamma_edge(self, src: NfaState, label: Symbol, dst: NfaState) -> None:
-        if src.final:
+    def add_gamma_edge(self, src: State, label: Symbol, dst: State) -> None:
+        if is_final(src):
             raise NfaShapeError(f"gamma edge from final state {src!r}")
         if src in self.gamma_out:
             raise NfaShapeError(f"second gamma edge out of {src!r}")
@@ -286,7 +241,7 @@ class NfaSummary:
         self.gamma_out[src] = (label, dst)
         self.gamma_in[(label, dst)] = src
 
-    def add_eps_edge(self, x: NfaState, y: NfaState) -> bool:
+    def add_eps_edge(self, x: State, y: State) -> bool:
         """Add x ->eps y unless already present; report whether added."""
         if (x, y) in self.eps_edges:
             return False
@@ -295,7 +250,7 @@ class NfaSummary:
         self.eps_in.setdefault(y, set()).add(x)
         return True
 
-    def gamma_edges(self) -> Iterator[tuple[NfaState, Symbol, NfaState]]:
+    def gamma_edges(self) -> Iterator[tuple[State, Symbol, State]]:
         for src, (label, dst) in self.gamma_out.items():
             yield (src, label, dst)
 
@@ -307,9 +262,9 @@ def nfa_shape_violations(nfa: NfaSummary) -> list[str]:
     """Post-construction invariants: shape and reachability from m0."""
     diags: list[str] = []
     for s in nfa.states:
-        if s.final and s in nfa.gamma_out:
+        if is_final(s) and s in nfa.gamma_out:
             diags.append(f"final state {s!r} has an outgoing gamma edge")
-        if not s.final and s not in nfa.gamma_out:
+        if not is_final(s) and s not in nfa.gamma_out:
             diags.append(f"non-final state {s!r} lacks an outgoing gamma edge")
     for (label, dst), src in nfa.gamma_in.items():
         if nfa.gamma_out.get(src) != (label, dst):

@@ -10,6 +10,7 @@ with the detector being verified.
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterator
 
 from .augment import AugmentedPda, augment
 from .model import (
@@ -27,6 +28,25 @@ from .model import (
 # Bounded explicit-state search
 
 
+def _check_bounds(**bounds: int | None) -> None:
+    for name, value in bounds.items():
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+
+
+def _moves(
+    by_source: dict[str, list[PdaTransition]], state: str, stack: StackString, max_stack: int
+) -> Iterator[tuple[PdaTransition, StackString]]:
+    """Each transition enabled in (state, stack) with the stack it leaves,
+    if that stack holds at most ``max_stack`` symbols."""
+    for t in by_source.get(state, ()):
+        k = len(t.pop)
+        if stack[:k] == t.pop:
+            new_stack = t.push + stack[k:]
+            if len(new_stack) <= max_stack:
+                yield t, new_stack
+
+
 def bounded_reachable(
     pda: Pda,
     start: Configuration,
@@ -34,6 +54,7 @@ def bounded_reachable(
     max_moves: int | None = None,
 ) -> set[Configuration]:
     """All configurations reachable from ``start`` through stacks <= max_stack."""
+    _check_bounds(max_stack=max_stack, max_moves=max_moves)
     by_source = pda.by_source()
     seen = {start}
     frontier = deque([(start, 0)])
@@ -41,13 +62,7 @@ def bounded_reachable(
         cfg, dist = frontier.popleft()
         if max_moves is not None and dist >= max_moves:
             continue
-        for t in by_source.get(cfg.state, ()):
-            k = len(t.pop)
-            if cfg.stack[:k] != t.pop:
-                continue
-            stack = t.push + cfg.stack[k:]
-            if len(stack) > max_stack:
-                continue
+        for t, stack in _moves(by_source, cfg.state, cfg.stack, max_stack):
             nxt = Configuration(t.target, stack)
             if nxt not in seen:
                 seen.add(nxt)
@@ -64,6 +79,7 @@ def bounded_useful(pda: Pda, max_stack: int, max_moves: int) -> frozenset[str]:
     edge lies on an accepting bounded run iff the shortest way in plus the
     shortest way from its endpoint to acceptance fits in the move budget.
     """
+    _check_bounds(max_stack=max_stack, max_moves=max_moves)
     by_source = pda.by_source()
     start = Configuration(pda.initial, ())
     dist: dict[Configuration, int] = {start: 0}
@@ -74,13 +90,7 @@ def bounded_useful(pda: Pda, max_stack: int, max_moves: int) -> frozenset[str]:
         d = dist[cfg]
         if d >= max_moves:
             continue
-        for t in by_source.get(cfg.state, ()):
-            k = len(t.pop)
-            if cfg.stack[:k] != t.pop:
-                continue
-            stack = t.push + cfg.stack[k:]
-            if len(stack) > max_stack:
-                continue
+        for t, stack in _moves(by_source, cfg.state, cfg.stack, max_stack):
             nxt = Configuration(t.target, stack)
             edges.append((cfg, t.id, nxt))
             if nxt not in dist:
@@ -114,6 +124,7 @@ def bounded_language(
     pda: Pda, max_len: int, max_stack: int, max_moves: int
 ) -> set[tuple[Symbol, ...]]:
     """Input strings of length <= max_len labeling an accepting bounded run."""
+    _check_bounds(max_len=max_len, max_stack=max_stack, max_moves=max_moves)
     by_source = pda.by_source()
     start = (pda.initial, (), ())
     seen = {start}
@@ -125,13 +136,7 @@ def bounded_language(
             words.add(word)
         if moves >= max_moves:
             continue
-        for t in by_source.get(state, ()):
-            k = len(t.pop)
-            if stack[:k] != t.pop:
-                continue
-            new_stack = t.push + stack[k:]
-            if len(new_stack) > max_stack:
-                continue
+        for t, new_stack in _moves(by_source, state, stack, max_stack):
             new_word = word if t.input is None else word + (t.input,)
             if len(new_word) > max_len:
                 continue

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pdaprune import Pda, PdaTransition, random_pda
+from pdaprune import Pda, PdaTransition, is_final, random_pda
 
 
 def make_pda(states, inputs, stack, transitions, initial, finals):
@@ -74,8 +74,8 @@ def nfa_accepted_configs(nfa, max_len):
         nxt = {}
         for word, states in frontier.items():
             for s in states:
-                if s.final:
-                    configs.add((s.key, tuple(reversed(word))))
+                if is_final(s):
+                    configs.add((s, tuple(reversed(word))))
                 edge = nfa.gamma_out.get(s)
                 if edge is not None and length < max_len:
                     key = word + (edge[0],)

@@ -7,7 +7,7 @@ code with the optimized paths it checks.
 from collections import deque
 from dataclasses import replace
 
-from pdaprune import EPSILON, M0, Configuration, Grammar, NfaState, PdaTransition
+from pdaprune import EPSILON, M0, Configuration, Grammar, PdaTransition, is_final
 from pdaprune.augment import _fresh
 from pdaprune.model import NfaShapeError
 
@@ -96,7 +96,7 @@ def unique_gamma_path(nfa, y):
     labels = []
     seen = set()
     cur = y
-    while not cur.final:
+    while not is_final(cur):
         if cur in seen:
             raise NfaShapeError(f"gamma cycle through {cur!r}")
         seen.add(cur)
@@ -117,8 +117,7 @@ def scan_eps_on_paths(nfa, x, sigma, q):
     intersects forward reachability from the hop target with backward
     reachability from q over the (position, state) product.
     """
-    q_state = NfaState.inherited(q)
-    if not sigma or q_state not in nfa.states:
+    if not sigma or q not in nfa.states:
         return set()
     hop = nfa.gamma_out.get(x)
     if hop is None or hop[0] != sigma[-1]:
@@ -142,7 +141,7 @@ def scan_eps_on_paths(nfa, x, sigma, q):
                 stack.append((edge[1], i + 1))
 
     bwd = set()
-    stack = [(q_state, k)]
+    stack = [(q, k)]
     while stack:
         node = stack.pop()
         if node in bwd:
@@ -169,7 +168,7 @@ def reference_backward(fwd, p1):
     scan_eps_on_paths over the plain NFA."""
     nfa = fwd.nfa
     (qf,) = p1.finals
-    seed = (M0, NfaState.inherited(qf))
+    seed = (M0, qf)
     if seed not in nfa.eps_edges:
         return frozenset(t.id for t in p1.transitions)
     by_push_target = {}
@@ -181,7 +180,7 @@ def reference_backward(fwd, p1):
     while pending:
         x, y = pending.popleft()
         labels, r = unique_gamma_path(nfa, y)
-        for t in by_push_target.get((tuple(reversed(labels)), r.key), ()):
+        for t in by_push_target.get((tuple(reversed(labels)), r), ()):
             if x not in fwd.ssets.get((t.source, t.pop), ()):
                 continue
             u2.discard(t.id)

@@ -28,7 +28,7 @@ from pdaprune import (
     run_forward,
     run_pipeline,
 )
-from pdaprune.model import NfaState, remove_transitions
+from pdaprune.model import is_final, remove_transitions
 
 from .conftest import corpus, nfa_accepted_configs, shuffled_transitions
 
@@ -119,35 +119,32 @@ def test_criterion_2_nfa_golden(example1_restricted_forward):
     nfa = example1_restricted_forward.nfa
     assert example1_restricted_forward.u1 == frozenset()
 
-    def inh(q):
-        return NfaState.inherited(q)
-
     # Intermediates are matched by their unique gamma path to a final state.
-    n1 = nfa.gamma_in[("a", inh("q1"))]
-    n2 = nfa.gamma_in[("b", inh("q1"))]
-    n4 = nfa.gamma_in[("d", inh("q2"))]
+    n1 = nfa.gamma_in[("a", "q1")]
+    n2 = nfa.gamma_in[("b", "q1")]
+    n4 = nfa.gamma_in[("d", "q2")]
     n3 = nfa.gamma_in[("a", n4)]
-    n5 = nfa.gamma_in[("c", inh("q2"))]
-    assert not any(s.final for s in (n1, n2, n3, n4, n5))
+    n5 = nfa.gamma_in[("c", "q2")]
+    assert not any(is_final(s) for s in (n1, n2, n3, n4, n5))
     assert len({n1, n2, n3, n4, n5}) == 5
     gamma = set(nfa.gamma_edges())
     assert gamma == {
-        (nfa.initial, "b0", inh("q0")),
-        (n1, "a", inh("q1")),
-        (n2, "b", inh("q1")),
+        (nfa.initial, "b0", "q0"),
+        (n1, "a", "q1"),
+        (n2, "b", "q1"),
         (n3, "a", n4),
-        (n4, "d", inh("q2")),
-        (n5, "c", inh("q2")),
+        (n4, "d", "q2"),
+        (n5, "c", "q2"),
     }
     assert nfa.eps_edges == {
-        (inh("q0"), n1),
-        (inh("q0"), n2),
-        (inh("q0"), n3),
-        (inh("q1"), n5),
-        (inh("q1"), n4),
-        (n1, inh("q3")),
-        (n2, inh("q3")),
-        (nfa.initial, inh("qf")),
+        ("q0", n1),
+        ("q0", n2),
+        ("q0", n3),
+        ("q1", n5),
+        ("q1", n4),
+        (n1, "q3"),
+        (n2, "q3"),
+        (nfa.initial, "qf"),
     }
     assert len(gamma) == 6 and len(nfa.eps_edges) == 8
     passline(2, "summary NFA matches the expected shape (6 gamma + 8 eps edges)")

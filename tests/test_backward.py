@@ -3,7 +3,6 @@ import pytest
 from pdaprune import (
     M0,
     NfaShapeError,
-    NfaState,
     NfaSummary,
     run_backward,
     run_forward,
@@ -14,10 +13,6 @@ from .conftest import make_pda
 from .reference import scan_eps_on_paths, unique_gamma_path
 
 
-def N(name):
-    return NfaState.inherited(name)
-
-
 @pytest.fixture
 def golden(example1_p0_restricted):
     return run_forward(example1_p0_restricted, "b0")
@@ -25,11 +20,11 @@ def golden(example1_p0_restricted):
 
 def mids(nfa):
     out = {}
-    out["n1"] = nfa.gamma_in[("a", N("q1"))]
-    out["n2"] = nfa.gamma_in[("b", N("q1"))]
-    out["n4"] = nfa.gamma_in[("d", N("q2"))]
+    out["n1"] = nfa.gamma_in[("a", "q1")]
+    out["n2"] = nfa.gamma_in[("b", "q1")]
+    out["n4"] = nfa.gamma_in[("d", "q2")]
     out["n3"] = nfa.gamma_in[("a", out["n4"])]
-    out["n5"] = nfa.gamma_in[("c", N("q2"))]
+    out["n5"] = nfa.gamma_in[("c", "q2")]
     return out
 
 
@@ -89,9 +84,9 @@ def test_backward_requires_single_final(golden, example1_p0_restricted):
 def test_unique_gamma_path_values(golden):
     nfa = golden.nfa
     m = mids(nfa)
-    assert unique_gamma_path(nfa, m["n3"]) == (("a", "d"), N("q2"))
-    assert unique_gamma_path(nfa, N("qf")) == ((), N("qf"))
-    assert unique_gamma_path(nfa, m["n5"]) == (("c",), N("q2"))
+    assert unique_gamma_path(nfa, m["n3"]) == (("a", "d"), "q2")
+    assert unique_gamma_path(nfa, "qf") == ((), "qf")
+    assert unique_gamma_path(nfa, m["n5"]) == (("c",), "q2")
 
 
 def test_unique_gamma_path_detects_breakage():
@@ -111,13 +106,13 @@ def test_scan_eps_worked_values(golden):
     nfa = golden.nfa
     m = mids(nfa)
     assert scan_eps_on_paths(nfa, M0, ("b0",), "q3") == {
-        (N("q0"), m["n1"]),
-        (m["n1"], N("q3")),
-        (N("q0"), m["n2"]),
-        (m["n2"], N("q3")),
+        ("q0", m["n1"]),
+        (m["n1"], "q3"),
+        ("q0", m["n2"]),
+        (m["n2"], "q3"),
     }
-    assert scan_eps_on_paths(nfa, m["n1"], ("c", "a"), "q2") == {(N("q1"), m["n5"])}
-    assert scan_eps_on_paths(nfa, m["n2"], ("d", "b"), "q2") == {(N("q1"), m["n4"])}
+    assert scan_eps_on_paths(nfa, m["n1"], ("c", "a"), "q2") == {("q1", m["n5"])}
+    assert scan_eps_on_paths(nfa, m["n2"], ("d", "b"), "q2") == {("q1", m["n4"])}
 
 
 def test_backward_order_independent(golden, example1_p0_restricted):
@@ -139,13 +134,13 @@ def test_backward_monotone_shrinking(golden, example1_p0_restricted):
         by_push_target.setdefault((t.push, t.target), []).append(t)
     u2 = {t.id for t in p1.transitions}
     sizes = [len(u2)]
-    seed = (M0, N("qf"))
+    seed = (M0, "qf")
     enqueued = {seed}
     pending = deque([seed])
     while pending:
         x, y = pending.popleft()
         labels, r = unique_gamma_path(nfa, y)
-        for t in by_push_target.get((tuple(reversed(labels)), r.key), ()):
+        for t in by_push_target.get((tuple(reversed(labels)), r), ()):
             if x not in fwd.ssets.get((t.source, t.pop), ()):
                 continue
             u2.discard(t.id)

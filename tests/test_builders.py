@@ -38,6 +38,17 @@ def test_random_pda_rejects_bad_params():
         random_pda(0, max_states=0)
 
 
+@pytest.mark.parametrize("final_prob", [-1.0, -0.01, 1.01, 5.0, float("nan")])
+def test_random_pda_rejects_bad_final_prob(final_prob):
+    with pytest.raises(ValueError):
+        random_pda(1, final_prob=final_prob)
+
+
+@pytest.mark.parametrize("final_prob,finals", [(0.0, 0), (1.0, 6)])
+def test_random_pda_final_prob_bounds(final_prob, finals):
+    assert len(random_pda(1, max_states=6, final_prob=final_prob).finals) == finals
+
+
 def test_cfg_to_pda_simple():
     g = make_grammar([("S", ("a",))])
     pda = cfg_to_pda(g)

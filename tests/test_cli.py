@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from pdaprune import parse_pda
+import pdaprune
+from pdaprune import parse_pda, print_pda, random_pda
 from pdaprune.cli import main
 
 from .test_textio import EXAMPLE1_DOC
@@ -154,3 +160,24 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "pdaprune" in capsys.readouterr().out
+
+
+def test_output_independent_of_hash_seed(tmp_path):
+    """NFA states are plain strings and ints, so set iteration order follows
+    PYTHONHASHSEED; the printed report and DOT must not."""
+    path = tmp_path / "m.pda"
+    # Has useful, dead and unreachable transitions and ~100 backward steps.
+    path.write_text(print_pda(random_pda(6, max_states=8, max_trans=40, gamma_size=3)))
+    src = str(Path(pdaprune.__file__).resolve().parent.parent)
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        outputs.append([
+            subprocess.run(
+                [sys.executable, "-m", "pdaprune", *args, str(path)],
+                capture_output=True, env=env, check=True,
+            ).stdout
+            for args in (["analyze", "--stats"], ["nfa"])
+        ])
+    assert b"USELESS" in outputs[0][0] and b"digraph nfa" in outputs[0][1]
+    assert outputs[0] == outputs[1]

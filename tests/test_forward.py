@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 from pdaprune import (
     M0,
     EpsClosure,
-    NfaState,
     NfaSummary,
     augment,
     bounded_useful,
     compute_s,
     establish_path,
+    is_final,
     nfa_shape_violations,
     run_forward,
 )
@@ -18,22 +18,20 @@ from pdaprune import (
 from .conftest import make_pda
 
 
-def N(name):
-    return NfaState.inherited(name)
-
-
 def named_gamma_edges(nfa):
     """Gamma edges with intermediates renamed by their unique path to a
     final state, so the comparison is insensitive to allocation order."""
 
     def pathname(s):
-        if s.final or s.kind == "m0":
-            return s.label()
+        if s == M0:
+            return "m0"
+        if is_final(s):
+            return s
         labels = []
-        while not s.final:
+        while not is_final(s):
             label, s = nfa.gamma_out[s]
             labels.append(label)
-        return "via:" + "".join(labels) + ">" + s.label()
+        return "via:" + "".join(labels) + ">" + s
 
     return {(pathname(src), label, pathname(dst)) for src, label, dst in nfa.gamma_edges()}
 
@@ -49,9 +47,9 @@ def test_golden_u1_empty(golden):
 
 def test_golden_nfa_states(golden):
     nfa = golden.nfa
-    finals = {s.key for s in nfa.states if s.final}
+    finals = {s for s in nfa.states if is_final(s)}
     assert finals == {"q0", "q1", "q2", "q3", "qf"}
-    mids = {s for s in nfa.states if s.kind == "mid"}
+    mids = {s for s in nfa.states if not is_final(s) and s != M0}
     assert len(mids) == 5
     assert len(nfa.states) == 11
 
@@ -72,7 +70,7 @@ def test_golden_nfa_eps_edges(golden):
     nfa = golden.nfa
 
     def head(labels, q):
-        cur = N(q)
+        cur = q
         for label in reversed(labels):
             cur = nfa.gamma_in[(label, cur)]
         return cur
@@ -83,14 +81,14 @@ def test_golden_nfa_eps_edges(golden):
     n4 = head("d", "q2")
     n5 = head("c", "q2")
     assert nfa.eps_edges == {
-        (N("q0"), n1),
-        (N("q0"), n2),
-        (N("q0"), n3),
-        (N("q1"), n5),
-        (N("q1"), n4),
-        (n1, N("q3")),
-        (n2, N("q3")),
-        (M0, N("qf")),
+        ("q0", n1),
+        ("q0", n2),
+        ("q0", n3),
+        ("q1", n5),
+        ("q1", n4),
+        (n1, "q3"),
+        (n2, "q3"),
+        (M0, "qf"),
     }
 
 
@@ -99,12 +97,13 @@ def test_golden_intermediates_numbered_in_creation_order(golden):
     # classic n1..n5 naming exactly.
     assert named_gamma_edges(golden.nfa) is not None
     nfa = golden.nfa
-    by_index = {s.key: s for s in nfa.states if s.kind == "mid"}
-    assert nfa.gamma_out[by_index[1]] == ("a", N("q1"))
-    assert nfa.gamma_out[by_index[2]] == ("b", N("q1"))
-    assert nfa.gamma_out[by_index[3]] == ("a", by_index[4])
-    assert nfa.gamma_out[by_index[4]] == ("d", N("q2"))
-    assert nfa.gamma_out[by_index[5]] == ("c", N("q2"))
+    mids = {s for s in nfa.states if not is_final(s) and s != M0}
+    assert mids == {1, 2, 3, 4, 5}
+    assert nfa.gamma_out[1] == ("a", "q1")
+    assert nfa.gamma_out[2] == ("b", "q1")
+    assert nfa.gamma_out[3] == ("a", 4)
+    assert nfa.gamma_out[4] == ("d", "q2")
+    assert nfa.gamma_out[5] == ("c", "q2")
 
 
 def test_golden_shape_invariants(golden):
@@ -115,7 +114,7 @@ def test_golden_fixpoint(golden, example1_p0_restricted):
     """One more pass over the transitions would change nothing."""
     nfa = golden.nfa
     for t in example1_p0_restricted.transitions:
-        if N(t.source) not in nfa.states:
+        if t.source not in nfa.states:
             assert t.id in golden.u1
             continue
         s_set = compute_s(nfa, t.source, t.pop)
@@ -131,10 +130,10 @@ def test_golden_fixpoint(golden, example1_p0_restricted):
 def test_compute_s_worked_values(golden):
     nfa = golden.nfa
     assert compute_s(nfa, "q3", ("b0",)) == {M0}
-    assert compute_s(nfa, "q0", ()) == {N("q0")}
-    n1 = nfa.gamma_in[("a", N("q1"))]
+    assert compute_s(nfa, "q0", ()) == {"q0"}
+    n1 = nfa.gamma_in[("a", "q1")]
     assert compute_s(nfa, "q2", ("c", "a")) == {n1}
-    n2 = nfa.gamma_in[("b", N("q1"))]
+    n2 = nfa.gamma_in[("b", "q1")]
     assert compute_s(nfa, "q2", ("d", "b")) == {n2}
 
 
@@ -147,7 +146,7 @@ def test_forward_empty_finals():
     pda = make_pda(["q0"], [], ["a"], [("t0", "q0", None, "", "a", "q0")], "q0", [])
     aug = augment(pda)
     fwd = run_forward(aug.p0, aug.bottom_marker)
-    assert (M0, N(aug.final_state)) not in fwd.nfa.eps_edges
+    assert (M0, aug.final_state) not in fwd.nfa.eps_edges
     drains = {
         t.id for t in aug.p0.transitions if t.source == aug.drain_state
     }
@@ -161,10 +160,10 @@ def test_forward_self_loop_push():
     fwd = run_forward(aug.p0, aug.bottom_marker)
     nfa = fwd.nfa
     assert fwd.u1 == frozenset()
-    assert (M0, N(aug.final_state)) in nfa.eps_edges
-    loop = nfa.gamma_in[("a", N("q0"))]
-    assert not loop.final
-    assert (N("q0"), loop) in nfa.eps_edges
+    assert (M0, aug.final_state) in nfa.eps_edges
+    loop = nfa.gamma_in[("a", "q0")]
+    assert not is_final(loop)
+    assert ("q0", loop) in nfa.eps_edges
     assert nfa_shape_violations(nfa) == []
     # Cross-check with the explicit searcher at stack height 3.
     assert bounded_useful(pda, 3, 4) == {"t0"}
@@ -172,7 +171,7 @@ def test_forward_self_loop_push():
 
 def test_establish_path_empty_labels():
     nfa = NfaSummary()
-    z = N("q0")
+    z = "q0"
     nfa.ensure_state(z)
     assert establish_path(nfa, (), z) is z
     assert nfa.gamma_edge_count() == 0
@@ -180,7 +179,7 @@ def test_establish_path_empty_labels():
 
 def test_establish_path_creates_chain():
     nfa = NfaSummary()
-    z = N("q2")
+    z = "q2"
     head = establish_path(nfa, ("a", "d"), z)
     assert nfa.gamma_out[head][0] == "a"
     mid = nfa.gamma_out[head][1]
@@ -190,7 +189,7 @@ def test_establish_path_creates_chain():
 
 def test_establish_path_reuses_suffix():
     nfa = NfaSummary()
-    z = N("q2")
+    z = "q2"
     n5 = nfa.new_intermediate()
     nfa.add_gamma_edge(n5, "c", z)
     before = nfa.gamma_edge_count()
@@ -204,14 +203,14 @@ def test_establish_path_reuses_suffix():
 
 def test_closure_single_edge():
     c = EpsClosure()
-    q0, n1 = N("q0"), NfaState.intermediate(1)
+    q0, n1 = "q0", 1
     c.add_edge(q0, n1)
     assert c.backward(n1) == {n1, q0}
 
 
 def test_closure_duplicate_edge_is_noop():
     c = EpsClosure()
-    q0, n1 = N("q0"), NfaState.intermediate(1)
+    q0, n1 = "q0", 1
     c.add_edge(q0, n1)
     snapshot = {s: set(v) for s, v in c.to.items()}
     c.add_edge(q0, n1)
@@ -220,10 +219,10 @@ def test_closure_duplicate_edge_is_noop():
 
 def test_closure_transitive_on_golden(golden):
     nfa = golden.nfa
-    n1 = nfa.gamma_in[("a", N("q1"))]
-    n2 = nfa.gamma_in[("b", N("q1"))]
-    b_q3 = golden.closure.backward(N("q3"))
-    assert b_q3 == {N("q3"), n1, n2, N("q0")}
+    n1 = nfa.gamma_in[("a", "q1")]
+    n2 = nfa.gamma_in[("b", "q1")]
+    b_q3 = golden.closure.backward("q3")
+    assert b_q3 == {"q3", n1, n2, "q0"}
 
 
 def scratch_backward(nfa, s):
@@ -265,7 +264,7 @@ def test_closure_matches_scratch_on_golden(golden):
 def test_closure_incremental_equals_scratch(edges):
     nfa = NfaSummary()
     closure = EpsClosure()
-    nodes = [NfaState.intermediate(i) for i in range(8)]
+    nodes = list(range(8))
     for s in nodes:
         nfa.ensure_state(s)
     for i, j in edges:
@@ -278,7 +277,7 @@ def test_closure_incremental_equals_scratch(edges):
 
 def naive_s(nfa, q, sigma):
     """Brute-force S(q, sigma): enumerate gamma-first product paths."""
-    q_state = N(q)
+    q_state = q
     if q_state not in nfa.states:
         return set()
     if not sigma:

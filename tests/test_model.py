@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pdaprune import Configuration, NfaState, NfaSummary, validate
+from pdaprune import Configuration, NfaSummary, validate
 from pdaprune.model import NfaShapeError, is_valid_name, remove_transitions
 
 from .conftest import make_pda
@@ -104,7 +104,7 @@ def test_remove_transitions(example1):
 def test_nfa_shape_guards():
     nfa = NfaSummary()
     n = nfa.new_intermediate()
-    q = NfaState.inherited("q0")
+    q = "q0"
     nfa.add_gamma_edge(n, "a", q)
     with pytest.raises(NfaShapeError):
         nfa.add_gamma_edge(n, "b", q)  # second edge out of n
@@ -117,8 +117,8 @@ def test_nfa_shape_guards():
 
 def test_nfa_eps_edges_deduplicate():
     nfa = NfaSummary()
-    x = NfaState.inherited("q0")
-    y = NfaState.inherited("q1")
+    x = "q0"
+    y = "q1"
     nfa.ensure_state(x)
     nfa.ensure_state(y)
     assert nfa.add_eps_edge(x, y)

@@ -78,6 +78,24 @@ def test_bounded_reachable_respects_start(example1):
     assert Configuration(aug.final_state, ()) in reach
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda pda: bounded_useful(pda, -1, 5),
+        lambda pda: bounded_useful(pda, 4, -5),
+        lambda pda: bounded_useful(pda, -1, -5),
+        lambda pda: bounded_reachable(pda, Configuration(pda.initial, ()), -1),
+        lambda pda: bounded_reachable(pda, Configuration(pda.initial, ()), 4, -1),
+        lambda pda: bounded_language(pda, -1, 4, 8),
+        lambda pda: bounded_language(pda, 3, -1, 8),
+        lambda pda: bounded_language(pda, 3, 4, -1),
+    ],
+)
+def test_bounded_search_rejects_negative_bounds(call):
+    with pytest.raises(ValueError):
+        call(random_pda(3))
+
+
 # ---------------------------------------------------------------------------
 # Normalization
 

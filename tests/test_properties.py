@@ -31,8 +31,6 @@ def test_shape_invariants_hold_on_corpus():
 
 
 def test_path_heads_spell_reversed_push_strings():
-    from pdaprune import NfaState
-
     for pda in corpus(40):
         aug, fwd = forward_of(pda)
         for t in aug.p0.transitions:
@@ -40,7 +38,7 @@ def test_path_heads_spell_reversed_push_strings():
                 continue
             labels, end = unique_gamma_path(fwd.nfa, fwd.path_head[t.id])
             assert labels == tuple(reversed(t.push)), t
-            assert end == NfaState.inherited(t.target), t
+            assert end == t.target, t
 
 
 def test_compute_s_matches_bruteforce_on_corpus():
