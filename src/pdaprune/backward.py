@@ -6,10 +6,18 @@ and whose pop set S(q, pop) contains x; justifying a popping transition in
 turn enqueues the epsilon edges lying on the matching pop paths.  The run
 reads forward's NFA and epsilon closures as built.  The memo is the second
 documented optimization: a map from each source state to its epsilon
-successors not yet put on the worklist.  A path scan visits only the
-sources that still have one and removes every edge it emits, so each edge
-enters the worklist at most once and an exhausted source costs no further
-scan work.
+successors not yet put on the worklist.  A path scan removes every edge it
+emits, so each edge enters the worklist at most once.
+
+Scans also skip sources that cannot contribute.  The backward levels of a
+(q, labels) key are fixed, and ``unseen`` only shrinks, so each level keeps
+the set of sources that are still live for it: sources with an unseen edge
+into that level, collected at the key's first scan.  A scan walks only
+``f_level & live`` and drops every source it visits, because once a
+source's edges into a level have been emitted it can never gain another.
+Each (level, source) pair is thus checked at most once per key, and a scan
+whose levels have no live source left returns before building any forward
+level.
 """
 
 from collections import deque
@@ -43,6 +51,7 @@ class _PathLevels:
         self.to = closure.to
         self._fwd_levels: dict[tuple[State, tuple[Symbol, ...]], tuple] = {}
         self._bwd_levels: dict[tuple[State, tuple[Symbol, ...]], tuple] = {}
+        self._live: dict[tuple[State, tuple[Symbol, ...]], list[set[State]]] = {}
 
     def _forward_levels(self, z0: State, labels: tuple[Symbol, ...]) -> tuple:
         """Level i holds the states reachable from z0 after i label hops."""
@@ -83,21 +92,33 @@ class _PathLevels:
         ``a`` is sigma's bottom-most symbol; after that hop the remaining
         labels may interleave with epsilon edges anywhere, so an edge
         qualifies when it joins forward level i to backward level i.  Only
-        sources left in ``unseen`` are visited, and every edge returned is
-        removed from it.
+        sources still live for level i are visited, and every edge returned
+        is removed from ``unseen``.
         """
         hop = self.gamma_out.get(x)
         if hop is None or hop[0] != sigma[-1]:
             return []
         labels = tuple(reversed(sigma[:-1]))
-        fwd = self._forward_levels(hop[1], labels)
         bwd = self._backward_levels(q, labels)
+        live = self._live.get((q, labels))
+        if live is None:
+            live = self._live[(q, labels)] = [
+                {u for u, rest in unseen.items() if not rest.isdisjoint(b_level)}
+                for b_level in bwd
+            ]
+        if not any(live):
+            return []
+        fwd = self._forward_levels(hop[1], labels)
         out: list[tuple[State, State]] = []
-        for f_level, b_level in zip(fwd, bwd):
-            if not b_level:
+        for f_level, b_level, sources in zip(fwd, bwd, live):
+            if not sources:
                 continue
-            for u in f_level & unseen.keys():
-                rest = unseen[u]
+            visit = f_level & sources
+            sources -= visit
+            for u in visit:
+                rest = unseen.get(u)
+                if rest is None:
+                    continue
                 hits = rest & b_level
                 if hits:
                     rest -= hits

@@ -116,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         nargs=2,
         type=_number(int, 0),
         metavar=("STACK", "MOVES"),
-        help="explicit-search oracle with the given bounds",
+        help="explicit-search oracle with the given bounds (MOVES >= 1)",
     )
 
     p_gen = sub.add_parser("gen", help="generate a seeded random pda")
@@ -133,6 +133,14 @@ def main(argv: list[str] | None = None) -> int:
     p_cfg.add_argument("-o", "--output", default=None)
 
     args = parser.parse_args(argv)
+    if args.command == "verify" and args.bounded is not None and args.bounded[1] < 1:
+        p_verify.error(f"argument --bounded: MOVES {args.bounded[1]} is not >= 1")
+    if args.command == "gen" and args.seed is None:
+        env_seed = os.environ.get("PDAPRUNE_SEED", "0")
+        try:
+            args.seed = int(env_seed)
+        except ValueError:
+            p_gen.error(f"PDAPRUNE_SEED: invalid int value: {env_seed!r}")
 
     try:
         if args.command == "analyze":
@@ -176,11 +184,8 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
 
         if args.command == "gen":
-            seed = args.seed
-            if seed is None:
-                seed = int(os.environ.get("PDAPRUNE_SEED", "0"))
             pda = random_pda(
-                seed,
+                args.seed,
                 max_states=args.states,
                 max_trans=args.trans,
                 max_pop_push=args.pop_push,

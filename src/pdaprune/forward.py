@@ -7,6 +7,14 @@ each of them gets an epsilon jump to the head of the (unique) path that
 spells the reversed push string into r.  Path establishment shares existing
 suffixes, so per transition at most one path is ever created.
 
+A pass walks the transitions grouped by (source, pop), in order of first
+occurrence, and computes each group's S-set once: every transition of the
+group fires or extends from that one set.  A set that goes stale within the
+pass only delays an edge to the next pass, and the last pass changes
+nothing, so its S-sets are exact.  ``compute_s`` hops gamma edges through
+the NFA's per-label index, intersecting the expanded states with the
+targets of that label's edges instead of probing every expanded state.
+
 The epsilon-closure index is the first of the two documented
 optimizations: it replaces per-query backward scans over epsilon edges.
 It is always maintained, because the backward procedure reads this NFA and
@@ -17,7 +25,7 @@ instead of reading it, to cross-check results.  Both modes must agree.
 
 from dataclasses import dataclass, field
 
-from .model import M0, NfaSummary, Pda, StackString, State, Symbol
+from .model import M0, NfaSummary, Pda, PdaTransition, StackString, State, Symbol
 
 
 class EpsClosure:
@@ -87,12 +95,11 @@ def compute_s(
         return set()
     targets = {q}
     for label in sigma:
+        into = nfa.gamma_into.get(label)
+        if into is None:
+            return set()
         expanded = eps_backward_set(nfa, targets, closure)
-        targets = set()
-        for t in expanded:
-            src = nfa.gamma_in.get((label, t))
-            if src is not None:
-                targets.add(src)
+        targets = {into[t] for t in expanded & into.keys()}
         if not targets:
             break
     return targets
@@ -142,6 +149,9 @@ def run_forward(p0: Pda, bottom: Symbol, *, use_closure_index: bool = True) -> F
     closure = EpsClosure()
     index = closure if use_closure_index else None
 
+    groups: dict[tuple[str, StackString], list[PdaTransition]] = {}
+    for t in p0.transitions:
+        groups.setdefault((t.source, t.pop), []).append(t)
     u1 = {t.id for t in p0.transitions}
     path_head: dict[str, State] = {}
     # Overwritten every pass; the final pass changes nothing, so its values
@@ -151,26 +161,27 @@ def run_forward(p0: Pda, bottom: Symbol, *, use_closure_index: bool = True) -> F
     while True:
         passes += 1
         changed = False
-        for t in p0.transitions:
-            if t.source not in nfa.states:
-                ssets[(t.source, t.pop)] = set()
+        for (q, pop), group in groups.items():
+            if q not in nfa.states:
+                ssets[(q, pop)] = set()
                 continue
-            s_set = ssets[(t.source, t.pop)] = compute_s(nfa, t.source, t.pop, index)
+            s_set = ssets[(q, pop)] = compute_s(nfa, q, pop, index)
             if not s_set:
                 continue
-            if t.id in u1:
-                u1.remove(t.id)
-                before = (len(nfa.states), nfa.gamma_edge_count())
-                head = establish_path(nfa, tuple(reversed(t.push)), t.target)
-                path_head[t.id] = head
-                if (len(nfa.states), nfa.gamma_edge_count()) != before:
-                    changed = True
-            else:
-                head = path_head[t.id]
-            for x in s_set:
-                if nfa.add_eps_edge(x, head):
-                    closure.add_edge(x, head)
-                    changed = True
+            for t in group:
+                if t.id in u1:
+                    u1.remove(t.id)
+                    before = (len(nfa.states), nfa.gamma_edge_count())
+                    head = establish_path(nfa, tuple(reversed(t.push)), t.target)
+                    path_head[t.id] = head
+                    if (len(nfa.states), nfa.gamma_edge_count()) != before:
+                        changed = True
+                else:
+                    head = path_head[t.id]
+                for x in s_set:
+                    if nfa.add_eps_edge(x, head):
+                        closure.add_edge(x, head)
+                        changed = True
         if not changed:
             break
 

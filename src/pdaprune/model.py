@@ -204,13 +204,15 @@ class NfaSummary:
     Mutated only during the forward construction; read-only afterwards.
     Gamma edges are kept in two single-valued maps because each non-final
     state carries exactly one outgoing gamma edge and each (label, target)
-    pair has at most one source.
+    pair has at most one source.  ``gamma_into`` is a per-label view of
+    ``gamma_in``: ``gamma_into[label][dst] = src``.
     """
 
     def __init__(self) -> None:
         self.states: set[State] = set()
         self.gamma_out: dict[State, tuple[Symbol, State]] = {}
         self.gamma_in: dict[tuple[Symbol, State], State] = {}
+        self.gamma_into: dict[Symbol, dict[State, State]] = {}
         self.eps_edges: set[tuple[State, State]] = set()
         self.eps_out: dict[State, set[State]] = {}
         self.eps_in: dict[State, set[State]] = {}
@@ -240,6 +242,7 @@ class NfaSummary:
         self.states.add(dst)
         self.gamma_out[src] = (label, dst)
         self.gamma_in[(label, dst)] = src
+        self.gamma_into.setdefault(label, {})[dst] = src
 
     def add_eps_edge(self, x: State, y: State) -> bool:
         """Add x ->eps y unless already present; report whether added."""
@@ -269,6 +272,12 @@ def nfa_shape_violations(nfa: NfaSummary) -> list[str]:
     for (label, dst), src in nfa.gamma_in.items():
         if nfa.gamma_out.get(src) != (label, dst):
             diags.append(f"gamma index mismatch at {src!r}")
+        if nfa.gamma_into.get(label, {}).get(dst) != src:
+            diags.append(f"label index lacks {label} edge {src!r}->{dst!r}")
+    for label, into in nfa.gamma_into.items():
+        for dst, src in into.items():
+            if nfa.gamma_in.get((label, dst)) != src:
+                diags.append(f"label index has stray {label} edge {src!r}->{dst!r}")
     for x, y in nfa.eps_edges:
         if x not in nfa.states or y not in nfa.states:
             diags.append(f"eps edge {x!r}->{y!r} touches an unknown state")

@@ -100,6 +100,15 @@ def test_gen_env_seed(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == via_env
 
 
+def test_gen_bad_env_seed_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("PDAPRUNE_SEED", "abc")
+    assert pytest.raises(SystemExit, main, ["gen"]).value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "PDAPRUNE_SEED" in captured.err
+    assert "'abc'" in captured.err
+
+
 def test_cfg2pda(tmp_path, capsys):
     g = tmp_path / "g.cfg"
     g.write_text("S -> a S\nS ->\n")
@@ -127,6 +136,8 @@ def test_usage_error_exit_1(capsys):
         ["verify", "PDA", "--bounded", "-1", "8"],
         ["verify", "PDA", "--bounded", "4", "-5"],
         ["verify", "PDA", "--bounded", "-1", "-5"],
+        ["verify", "PDA", "--bounded", "4", "0"],
+        ["verify", "PDA", "--bounded", "0", "0"],
         ["gen", "--states", "0"],
         ["gen", "--gamma", "0"],
         ["gen", "--trans", "-3"],

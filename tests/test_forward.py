@@ -8,14 +8,16 @@ from pdaprune import (
     NfaSummary,
     augment,
     bounded_useful,
+    cfg_to_pda,
     compute_s,
     establish_path,
     is_final,
     nfa_shape_violations,
+    parse_grammar,
     run_forward,
 )
 
-from .conftest import make_pda
+from .conftest import corpus, make_pda
 
 
 def named_gamma_edges(nfa):
@@ -110,21 +112,39 @@ def test_golden_shape_invariants(golden):
     assert nfa_shape_violations(golden.nfa) == []
 
 
-def test_golden_fixpoint(golden, example1_p0_restricted):
-    """One more pass over the transitions would change nothing."""
-    nfa = golden.nfa
-    for t in example1_p0_restricted.transitions:
-        if t.source not in nfa.states:
-            assert t.id in golden.u1
-            continue
+def assert_fixpoint(p0, fwd):
+    """One more pass over the transitions would change nothing, and every
+    recorded S-set is the one the finished NFA gives."""
+    nfa = fwd.nfa
+    for t in p0.transitions:
         s_set = compute_s(nfa, t.source, t.pop)
+        assert fwd.ssets[(t.source, t.pop)] == s_set, t
         if not s_set:
-            assert t.id in golden.u1
+            assert t.id in fwd.u1, t
             continue
-        assert t.id not in golden.u1
-        head = golden.path_head[t.id]
+        assert t.id not in fwd.u1, t
+        head = fwd.path_head[t.id]
         for x in s_set:
-            assert (x, head) in nfa.eps_edges
+            assert (x, head) in nfa.eps_edges, t
+
+
+FIXPOINT_GRAMMARS = (
+    "S -> ( S ) S |\n",
+    "E -> E + T | T\nT -> T * F | F\nF -> ( E ) | x\n",
+    "S -> a S b | A | B\nA -> a A | a\nB -> B b\nC -> c S\n",
+)
+
+
+def test_golden_fixpoint(golden, example1_p0_restricted):
+    assert_fixpoint(example1_p0_restricted, golden)
+
+
+def test_fixpoint_on_corpus_and_grammars():
+    """Grouped evaluation of the (source, pop) S-sets leaves a true fixpoint."""
+    pdas = corpus(60) + [cfg_to_pda(parse_grammar(g)) for g in FIXPOINT_GRAMMARS]
+    for pda in pdas:
+        aug = augment(pda)
+        assert_fixpoint(aug.p0, run_forward(aug.p0, aug.bottom_marker))
 
 
 def test_compute_s_worked_values(golden):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pdaprune import Configuration, NfaSummary, validate
+from pdaprune import M0, Configuration, NfaSummary, nfa_shape_violations, validate
 from pdaprune.model import NfaShapeError, is_valid_name, remove_transitions
 
 from .conftest import make_pda
@@ -113,6 +113,29 @@ def test_nfa_shape_guards():
         nfa.add_gamma_edge(m, "a", q)  # second 'a' edge into q
     with pytest.raises(NfaShapeError):
         nfa.add_gamma_edge(q, "a", n)  # final source
+
+
+def label_index_nfa():
+    nfa = NfaSummary()
+    nfa.add_gamma_edge(M0, "b0", "q0")
+    n = nfa.new_intermediate()
+    nfa.add_gamma_edge(n, "a", "q0")
+    nfa.add_eps_edge(M0, n)
+    assert nfa.gamma_into == {"b0": {"q0": M0}, "a": {"q0": n}}
+    assert nfa_shape_violations(nfa) == []
+    return nfa, n
+
+
+def test_label_index_corruption_is_reported():
+    nfa, _ = label_index_nfa()
+    nfa.gamma_into["a"]["q0"] = M0
+    diags = nfa_shape_violations(nfa)
+    assert any("label index lacks a edge" in d for d in diags), diags
+    assert any("label index has stray a edge" in d for d in diags), diags
+
+    nfa, n = label_index_nfa()
+    nfa.gamma_into["c"] = {"q0": n}
+    assert nfa_shape_violations(nfa) == [f"label index has stray c edge {n!r}->'q0'"]
 
 
 def test_nfa_eps_edges_deduplicate():

@@ -9,6 +9,7 @@ from pdaprune import (
     compute_s,
     nfa_shape_violations,
     prune,
+    random_pda,
     run_backward,
     run_forward,
 )
@@ -171,3 +172,24 @@ def test_backward_engine_matches_reference(example1_p0_restricted):
         aug, fwd = forward_of(pda)
         p1 = remove_transitions(aug.p0, set(fwd.u1))
         assert run_backward(fwd, p1).u2 == reference_backward(fwd, p1), pda
+
+
+def test_backward_engine_matches_reference_on_dense_instance():
+    """A dense machine whose backward run leaves some epsilon edges unqueued,
+    so the live-source bookkeeping must skip sources without losing edges."""
+    import random
+
+    pda = random_pda(2025, max_states=19, max_trans=120, gamma_size=4, final_prob=0.1)
+    aug, fwd = forward_of(pda)
+    p1 = remove_transitions(aug.p0, set(fwd.u1))
+    expected = reference_backward(fwd, p1)
+    fifo = run_backward(fwd, p1)
+    assert not fifo.empty_language
+    assert fifo.iterations < len(fwd.nfa.eps_edges)
+    rng = random.Random(2025)
+    for pick in (
+        None,
+        lambda pending: len(pending) - 1,
+        lambda pending: rng.randrange(len(pending)),
+    ):
+        assert run_backward(fwd, p1, pick=pick).u2 == expected
