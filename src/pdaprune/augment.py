@@ -30,9 +30,6 @@ class AugmentedPda:
     final_state: str
     synthetic_ids: frozenset[str]
 
-    def is_synthetic(self, tid: str) -> bool:
-        return tid in self.synthetic_ids
-
 
 def augment(pda: Pda) -> AugmentedPda:
     """Build P0: marker + drain state + unique final state and drain moves."""

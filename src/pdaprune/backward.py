@@ -4,10 +4,11 @@ A worklist of epsilon edges of the NFA is grown from m0 ->eps qf.  Each
 edge x ->eps y justifies every P1 transition whose push path starts at y
 and whose pop set S(q, pop) contains x; justifying a popping transition in
 turn enqueues the epsilon edges lying on the matching pop paths.  The run
-reads forward's NFA and epsilon closures as built.  The memo is the second
-documented optimization: a map from each source state to its epsilon
-successors not yet put on the worklist.  A path scan removes every edge it
-emits, so each edge enters the worklist at most once.
+reads forward's NFA and epsilon closures as built, and a scan's backward
+levels are forward's ``pop_levels``, the walk that also yields S(q, pop).
+The memo is the second documented optimization: a map from each source
+state to its epsilon successors not yet put on the worklist.  A path scan
+removes every edge it emits, so each edge enters the worklist at most once.
 
 Scans also skip sources that cannot contribute.  The backward levels of a
 (q, labels) key are fixed, and ``unseen`` only shrinks, so each level keeps
@@ -24,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .forward import EpsClosure, ForwardResult
+from .forward import EpsClosure, ForwardResult, pop_levels
 from .model import M0, NfaSummary, Pda, StackString, State, Symbol
 
 
@@ -40,18 +41,19 @@ class _PathLevels:
 
     The NFA never changes during the backward run, so path scans collapse to
     per-level intersections of sets.  The epsilon closures are the ones
-    forward saturation maintained, read without creating entries; the
-    levels the scans share are cached per (start, labels).
+    forward saturation maintained, read without creating entries.  Backward
+    levels are forward's ``pop_levels``, reversed; each (q, labels) key keeps
+    them together with its live sources, and forward levels are cached per
+    (start, labels).
     """
 
     def __init__(self, nfa: NfaSummary, closure: EpsClosure):
+        self.nfa = nfa
+        self.closure = closure
         self.gamma_out = nfa.gamma_out
-        self.gamma_in = nfa.gamma_in
         self.fro = closure.fro
-        self.to = closure.to
         self._fwd_levels: dict[tuple[State, tuple[Symbol, ...]], tuple] = {}
-        self._bwd_levels: dict[tuple[State, tuple[Symbol, ...]], tuple] = {}
-        self._live: dict[tuple[State, tuple[Symbol, ...]], list[set[State]]] = {}
+        self._bwd: dict[tuple[State, tuple[Symbol, ...]], tuple] = {}
 
     def _forward_levels(self, z0: State, labels: tuple[Symbol, ...]) -> tuple:
         """Level i holds the states reachable from z0 after i label hops."""
@@ -69,21 +71,6 @@ class _PathLevels:
             levels = self._fwd_levels[(z0, labels)] = tuple(levels)
         return levels
 
-    def _backward_levels(self, q: State, labels: tuple[Symbol, ...]) -> tuple:
-        """Level i holds the states that can still read labels[i:] into q."""
-        levels = self._bwd_levels.get((q, labels))
-        if levels is None:
-            levels = [self.to.get(q, {q})]
-            for label in reversed(labels):
-                cur: set[State] = set()
-                for v in levels[-1]:
-                    src = self.gamma_in.get((label, v))
-                    if src is not None:
-                        cur |= self.to.get(src, {src})
-                levels.append(cur)
-            levels = self._bwd_levels[(q, labels)] = tuple(reversed(levels))
-        return levels
-
     def scan_fresh(
         self, x: State, sigma: StackString, q: State, unseen: dict[State, set[State]]
     ) -> list[tuple[State, State]]:
@@ -99,13 +86,16 @@ class _PathLevels:
         if hop is None or hop[0] != sigma[-1]:
             return []
         labels = tuple(reversed(sigma[:-1]))
-        bwd = self._backward_levels(q, labels)
-        live = self._live.get((q, labels))
-        if live is None:
-            live = self._live[(q, labels)] = [
+        entry = self._bwd.get((q, labels))
+        if entry is None:
+            # Backward level i holds the states that can still read labels[i:] into q.
+            bwd = pop_levels(self.nfa, q, sigma[:-1], self.closure)[::-1]
+            live = [
                 {u for u, rest in unseen.items() if not rest.isdisjoint(b_level)}
                 for b_level in bwd
             ]
+            entry = self._bwd[(q, labels)] = (bwd, live)
+        bwd, live = entry
         if not any(live):
             return []
         fwd = self._forward_levels(hop[1], labels)
@@ -149,7 +139,7 @@ def run_backward(
     (qf,) = p1.finals
     all_ids = frozenset(t.id for t in p1.transitions)
     seed = (M0, qf)
-    if seed not in nfa.eps_edges:
+    if qf not in nfa.eps_out.get(M0, ()):
         return BackwardResult(u2=all_ids, iterations=0, empty_language=True)
 
     levels = _PathLevels(nfa, fwd.closure)

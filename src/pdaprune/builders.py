@@ -5,6 +5,13 @@ import random
 from .model import Grammar, Pda, PdaTransition, validate
 
 
+def _checked(pda: Pda, builder: str) -> Pda:
+    diags = validate(pda)
+    if diags:
+        raise ValueError(f"{builder} built an invalid pda: " + "; ".join(diags))
+    return pda
+
+
 def random_pda(
     seed: int,
     *,
@@ -54,17 +61,15 @@ def random_pda(
         initial=states[0],
         finals=finals,
     )
-    diags = validate(pda)
-    if diags:
-        raise ValueError("random_pda built an invalid pda: " + "; ".join(diags))
-    return pda
+    return _checked(pda, "random_pda")
 
 
 def cfg_to_pda(g: Grammar) -> Pda:
     """Top-down (expand/match) automaton for a grammar with string symbols.
 
     Production i becomes transition ``prod{i}``, so production-level and
-    transition-level usefulness verdicts can be compared directly.
+    transition-level usefulness verdicts can be compared directly.  Raises
+    ValueError when a grammar symbol cannot name a PDA symbol.
     """
     for s in g.nonterminals | g.terminals:
         if not isinstance(s, str):
@@ -82,7 +87,7 @@ def cfg_to_pda(g: Grammar) -> Pda:
     for a in sorted(g.terminals):
         transitions.append(PdaTransition(f"match_{a}", "ql", a, (a,), (), "ql"))
     transitions.append(PdaTransition("accept", "ql", None, (end,), (), "qa"))
-    return Pda(
+    pda = Pda(
         states=states,
         input_alphabet=tuple(sorted(g.terminals)),
         stack_alphabet=stack,
@@ -90,3 +95,4 @@ def cfg_to_pda(g: Grammar) -> Pda:
         initial="qs",
         finals=frozenset({"qa"}),
     )
+    return _checked(pda, "cfg_to_pda")

@@ -11,16 +11,21 @@ A pass walks the transitions grouped by (source, pop), in order of first
 occurrence, and computes each group's S-set once: every transition of the
 group fires or extends from that one set.  A set that goes stale within the
 pass only delays an edge to the next pass, and the last pass changes
-nothing, so its S-sets are exact.  ``compute_s`` hops gamma edges through
-the NFA's per-label index, intersecting the expanded states with the
-targets of that label's edges instead of probing every expanded state.
+nothing, so its S-sets are exact.  A transition is unreachable exactly when
+no pass gave it a path head.
+
+``pop_levels`` is the one pop-path walk: ``compute_s`` reads S(q, pop) off
+its last level, and the backward path scans read their levels from it too.
+It hops gamma edges through the NFA's per-label index, intersecting a level
+with the targets of that label's edges.
 
 The epsilon-closure index is the first of the two documented
 optimizations: it replaces per-query backward scans over epsilon edges.
 It is always maintained, because the backward procedure reads this NFA and
 its closures as built, without copying or re-indexing them;
-``use_closure_index=False`` only makes ``compute_s`` scan the epsilon edges
-instead of reading it, to cross-check results.  Both modes must agree.
+``use_closure_index=False`` only makes ``compute_s`` find epsilon
+predecessors by a fixpoint over the epsilon edges instead of reading it,
+to cross-check results.  Both modes must agree.
 """
 
 from dataclasses import dataclass, field
@@ -61,21 +66,37 @@ class EpsClosure:
 def eps_backward_set(
     nfa: NfaSummary, targets: set[State], closure: EpsClosure | None
 ) -> set[State]:
-    """States with an epsilon-only path into ``targets`` (reflexive)."""
-    if closure is not None:
-        out: set[State] = set()
-        for t in targets:
-            out |= closure.backward(t)
-        return out
+    """States with an epsilon-only path into ``targets`` (reflexive).
+
+    Reads ``closure`` without creating entries; without one, a fixpoint over
+    ``nfa.eps_out`` finds the predecessors.
+    """
     out = set(targets)
-    frontier = list(targets)
-    while frontier:
-        s = frontier.pop()
-        for p in nfa.eps_in.get(s, ()):
-            if p not in out:
-                out.add(p)
-                frontier.append(p)
-    return out
+    if closure is not None:
+        for t in targets:
+            out.update(closure.to.get(t, ()))
+        return out
+    while True:
+        new = {x for x, ys in nfa.eps_out.items() if x not in out and not ys.isdisjoint(out)}
+        if not new:
+            return out
+        out |= new
+
+
+def pop_levels(
+    nfa: NfaSummary, q: State, labels: StackString, closure: EpsClosure | None
+) -> list[set[State]]:
+    """Level i: the states that read ``labels[:i]`` into q, epsilon-closed.
+
+    ``labels`` is top-first, so ``labels[0]`` is read last; epsilon moves
+    may come anywhere on the way.
+    """
+    levels = [eps_backward_set(nfa, {q}, closure)]
+    for label in labels:
+        into = nfa.gamma_into.get(label, {})
+        hop = {into[t] for t in levels[-1] & into.keys()}
+        levels.append(eps_backward_set(nfa, hop, closure) if hop else hop)
+    return levels
 
 
 def compute_s(
@@ -86,23 +107,20 @@ def compute_s(
 ) -> set[State]:
     """The set S(q, sigma) of NFA states from which popping sigma reaches q.
 
-    Scans backwards from q's own NFA state, peeling sigma top-first;
-    epsilon expansion is allowed before every hop but not after the last one,
-    so results are exactly the sources of a real gamma edge labeled with
-    sigma's bottom-most symbol.
+    The sources of sigma[-1]-edges into the last pop level of sigma[:-1]:
+    epsilon expansion is allowed before every hop but not after the last
+    one, so results are exactly the sources of a real gamma edge labeled
+    with sigma's bottom-most symbol.
     """
     if q not in nfa.states:
         return set()
-    targets = {q}
-    for label in sigma:
-        into = nfa.gamma_into.get(label)
-        if into is None:
-            return set()
-        expanded = eps_backward_set(nfa, targets, closure)
-        targets = {into[t] for t in expanded & into.keys()}
-        if not targets:
-            break
-    return targets
+    if not sigma:
+        return {q}
+    into = nfa.gamma_into.get(sigma[-1])
+    if into is None:
+        return set()
+    level = pop_levels(nfa, q, sigma[:-1], closure)[-1]
+    return {into[t] for t in level & into.keys()}
 
 
 def establish_path(nfa: NfaSummary, labels: tuple[Symbol, ...], z: State) -> State:
@@ -114,7 +132,7 @@ def establish_path(nfa: NfaSummary, labels: tuple[Symbol, ...], z: State) -> Sta
     nfa.ensure_state(z)
     k = len(labels)
     while k > 0:
-        src = nfa.gamma_in.get((labels[k - 1], z))
+        src = nfa.gamma_into.get(labels[k - 1], {}).get(z)
         if src is None:
             break
         z = src
@@ -152,7 +170,6 @@ def run_forward(p0: Pda, bottom: Symbol, *, use_closure_index: bool = True) -> F
     groups: dict[tuple[str, StackString], list[PdaTransition]] = {}
     for t in p0.transitions:
         groups.setdefault((t.source, t.pop), []).append(t)
-    u1 = {t.id for t in p0.transitions}
     path_head: dict[str, State] = {}
     # Overwritten every pass; the final pass changes nothing, so its values
     # are the S-sets of the finished NFA that the backward procedure needs.
@@ -160,6 +177,8 @@ def run_forward(p0: Pda, bottom: Symbol, *, use_closure_index: bool = True) -> F
     passes = 0
     while True:
         passes += 1
+        # establish_path adds states only when it returns a new head, which
+        # at once gets an epsilon edge: a pass without one changed nothing.
         changed = False
         for (q, pop), group in groups.items():
             if q not in nfa.states:
@@ -169,15 +188,11 @@ def run_forward(p0: Pda, bottom: Symbol, *, use_closure_index: bool = True) -> F
             if not s_set:
                 continue
             for t in group:
-                if t.id in u1:
-                    u1.remove(t.id)
-                    before = (len(nfa.states), nfa.gamma_edge_count())
-                    head = establish_path(nfa, tuple(reversed(t.push)), t.target)
-                    path_head[t.id] = head
-                    if (len(nfa.states), nfa.gamma_edge_count()) != before:
-                        changed = True
-                else:
-                    head = path_head[t.id]
+                head = path_head.get(t.id)
+                if head is None:
+                    head = path_head[t.id] = establish_path(
+                        nfa, tuple(reversed(t.push)), t.target
+                    )
                 for x in s_set:
                     if nfa.add_eps_edge(x, head):
                         closure.add_edge(x, head)
@@ -187,7 +202,7 @@ def run_forward(p0: Pda, bottom: Symbol, *, use_closure_index: bool = True) -> F
 
     return ForwardResult(
         nfa=nfa,
-        u1=frozenset(u1),
+        u1=frozenset(t.id for t in p0.transitions if t.id not in path_head),
         ssets={key: frozenset(s) for key, s in ssets.items()},
         path_head=path_head,
         passes=passes,

@@ -91,7 +91,8 @@ def validate(pda: Pda) -> list[str]:
         if len(set(alpha)) != len(alpha):
             diags.append(f"duplicate {role} symbol declaration")
         for a in alpha:
-            if not is_valid_name(a):
+            # '-' is the text format's empty string, so it cannot name a symbol.
+            if not is_valid_name(a) or a == "-":
                 diags.append(f"invalid {role} symbol name: {a!r}")
     if pda.initial not in states:
         diags.append(f"unknown state: initial {pda.initial!r}")
@@ -202,20 +203,19 @@ class NfaSummary:
     """NFA over the stack alphabet summarizing reachable stacks, in reverse.
 
     Mutated only during the forward construction; read-only afterwards.
-    Gamma edges are kept in two single-valued maps because each non-final
+    Each edge relation is stored once per direction the analysis walks.
+    Gamma edges live in two single-valued maps, because each non-final
     state carries exactly one outgoing gamma edge and each (label, target)
-    pair has at most one source.  ``gamma_into`` is a per-label view of
-    ``gamma_in``: ``gamma_into[label][dst] = src``.
+    pair has at most one source: ``gamma_out[src] = (label, dst)`` and
+    ``gamma_into[label][dst] = src``.  Epsilon edges live only in
+    ``eps_out[src]``, the set of their targets; ``eps_edges`` is a view.
     """
 
     def __init__(self) -> None:
         self.states: set[State] = set()
         self.gamma_out: dict[State, tuple[Symbol, State]] = {}
-        self.gamma_in: dict[tuple[Symbol, State], State] = {}
         self.gamma_into: dict[Symbol, dict[State, State]] = {}
-        self.eps_edges: set[tuple[State, State]] = set()
         self.eps_out: dict[State, set[State]] = {}
-        self.eps_in: dict[State, set[State]] = {}
         self._next_mid = 1
 
     @property
@@ -236,22 +236,29 @@ class NfaSummary:
             raise NfaShapeError(f"gamma edge from final state {src!r}")
         if src in self.gamma_out:
             raise NfaShapeError(f"second gamma edge out of {src!r}")
-        if (label, dst) in self.gamma_in:
+        into = self.gamma_into.setdefault(label, {})
+        if dst in into:
             raise NfaShapeError(f"second gamma edge {label} into {dst!r}")
         self.states.add(src)
         self.states.add(dst)
         self.gamma_out[src] = (label, dst)
-        self.gamma_in[(label, dst)] = src
-        self.gamma_into.setdefault(label, {})[dst] = src
+        into[dst] = src
 
     def add_eps_edge(self, x: State, y: State) -> bool:
         """Add x ->eps y unless already present; report whether added."""
-        if (x, y) in self.eps_edges:
+        out = self.eps_out.get(x)
+        if out is None:
+            self.eps_out[x] = {y}
+        elif y in out:
             return False
-        self.eps_edges.add((x, y))
-        self.eps_out.setdefault(x, set()).add(y)
-        self.eps_in.setdefault(y, set()).add(x)
+        else:
+            out.add(y)
         return True
+
+    @property
+    def eps_edges(self) -> set[tuple[State, State]]:
+        """Every epsilon edge as an (x, y) pair, built from ``eps_out``."""
+        return {(x, y) for x, ys in self.eps_out.items() for y in ys}
 
     def gamma_edges(self) -> Iterator[tuple[State, Symbol, State]]:
         for src, (label, dst) in self.gamma_out.items():
@@ -269,14 +276,12 @@ def nfa_shape_violations(nfa: NfaSummary) -> list[str]:
             diags.append(f"final state {s!r} has an outgoing gamma edge")
         if not is_final(s) and s not in nfa.gamma_out:
             diags.append(f"non-final state {s!r} lacks an outgoing gamma edge")
-    for (label, dst), src in nfa.gamma_in.items():
-        if nfa.gamma_out.get(src) != (label, dst):
-            diags.append(f"gamma index mismatch at {src!r}")
+    for src, (label, dst) in nfa.gamma_out.items():
         if nfa.gamma_into.get(label, {}).get(dst) != src:
             diags.append(f"label index lacks {label} edge {src!r}->{dst!r}")
     for label, into in nfa.gamma_into.items():
         for dst, src in into.items():
-            if nfa.gamma_in.get((label, dst)) != src:
+            if nfa.gamma_out.get(src) != (label, dst):
                 diags.append(f"label index has stray {label} edge {src!r}->{dst!r}")
     for x, y in nfa.eps_edges:
         if x not in nfa.states or y not in nfa.states:

@@ -1,8 +1,10 @@
 """Orchestration: classify every original transition and emit the pruned PDA.
 
-Transitions that agree on (source, pop, push, target) and differ only in
-their input symbol behave identically for usefulness, so the pipeline runs
-on one representative per group and fans the verdict back out.
+The pipeline runs on the input as given.  Transitions that differ only in
+their input symbol cost next to nothing extra: forward evaluates their
+shared (source, pop) S-set once and their push paths coincide, so they
+add no NFA state or edge.  Verdicts on the synthetic transitions that
+augmentation adds are dropped.
 """
 
 from dataclasses import dataclass, replace
@@ -56,31 +58,13 @@ def run_pipeline(pda: Pda, *, use_closure_index: bool = True) -> PipelineResult:
     if diags:
         raise InvalidPdaError(diags)
 
-    groups: dict[tuple, list[str]] = {}
-    reps = []
-    for t in pda.transitions:
-        key = (t.source, t.pop, t.push, t.target)
-        members = groups.setdefault(key, [])
-        if not members:
-            reps.append(t)
-        members.append(t.id)
-    rep_of = {t.id: (t.source, t.pop, t.push, t.target) for t in reps}
-
-    aug = augment(replace(pda, transitions=tuple(reps)))
+    aug = augment(pda)
     fwd = run_forward(aug.p0, aug.bottom_marker, use_closure_index=use_closure_index)
     p1 = remove_transitions(aug.p0, set(fwd.u1))
     bwd = run_backward(fwd, p1)
 
-    def fan_out(p0_ids) -> frozenset[str]:
-        out: set[str] = set()
-        for tid in p0_ids:
-            if aug.is_synthetic(tid):
-                continue
-            out.update(groups[rep_of[tid]])
-        return frozenset(out)
-
-    unreachable = fan_out(fwd.u1)
-    dead = fan_out(bwd.u2)
+    unreachable = fwd.u1 - aug.synthetic_ids
+    dead = bwd.u2 - aug.synthetic_ids
     useful = frozenset(t.id for t in pda.transitions) - unreachable - dead
     report = AnalysisReport(
         unreachable=unreachable,
@@ -90,7 +74,7 @@ def run_pipeline(pda: Pda, *, use_closure_index: bool = True) -> PipelineResult:
         stats=AnalysisStats(
             nfa_states=len(fwd.nfa.states),
             gamma_edges=fwd.nfa.gamma_edge_count(),
-            eps_edges=len(fwd.nfa.eps_edges),
+            eps_edges=sum(map(len, fwd.nfa.eps_out.values())),
             forward_passes=fwd.passes,
             backward_iterations=bwd.iterations,
         ),

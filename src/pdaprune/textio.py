@@ -10,7 +10,8 @@ PDA documents::
     trans t6 q2 - c,a - q3
 
 ``trans <id> <from> <input|-> <pop|-> <push|-> <to>``; pop and push are
-comma-separated symbol lists written top-first, '-' is the empty string.
+comma-separated symbol lists written top-first, '-' is the empty string
+(so no input or stack symbol may be named '-').
 Grammar documents hold one ``A -> x y z`` production per line (``|``
 separates alternatives on input), plus an optional ``%start A`` line;
 a symbol is a terminal iff it never appears on a left-hand side.

@@ -108,6 +108,15 @@ def unique_gamma_path(nfa, y):
     return tuple(labels), cur
 
 
+def eps_predecessors(nfa):
+    """The inverse of ``nfa.eps_out``: each state's epsilon predecessors."""
+    out = {}
+    for u, vs in nfa.eps_out.items():
+        for v in vs:
+            out.setdefault(v, set()).add(u)
+    return out
+
+
 def scan_eps_on_paths(nfa, x, sigma, q):
     """Epsilon edges on any path x --a--> z ==sigma'==> q, a = sigma's bottom.
 
@@ -140,6 +149,7 @@ def scan_eps_on_paths(nfa, x, sigma, q):
             if edge is not None and edge[0] == labels[i]:
                 stack.append((edge[1], i + 1))
 
+    eps_in = eps_predecessors(nfa)
     bwd = set()
     stack = [(q, k)]
     while stack:
@@ -148,10 +158,10 @@ def scan_eps_on_paths(nfa, x, sigma, q):
             continue
         bwd.add(node)
         v, i = node
-        for u in nfa.eps_in.get(v, ()):
+        for u in eps_in.get(v, ()):
             stack.append((u, i))
         if i > 0:
-            src = nfa.gamma_in.get((labels[i - 1], v))
+            src = nfa.gamma_into.get(labels[i - 1], {}).get(v)
             if src is not None:
                 stack.append((src, i - 1))
 

@@ -120,11 +120,11 @@ def test_criterion_2_nfa_golden(example1_restricted_forward):
     assert example1_restricted_forward.u1 == frozenset()
 
     # Intermediates are matched by their unique gamma path to a final state.
-    n1 = nfa.gamma_in[("a", "q1")]
-    n2 = nfa.gamma_in[("b", "q1")]
-    n4 = nfa.gamma_in[("d", "q2")]
-    n3 = nfa.gamma_in[("a", n4)]
-    n5 = nfa.gamma_in[("c", "q2")]
+    n1 = nfa.gamma_into["a"]["q1"]
+    n2 = nfa.gamma_into["b"]["q1"]
+    n4 = nfa.gamma_into["d"]["q2"]
+    n3 = nfa.gamma_into["a"][n4]
+    n5 = nfa.gamma_into["c"]["q2"]
     assert not any(is_final(s) for s in (n1, n2, n3, n4, n5))
     assert len({n1, n2, n3, n4, n5}) == 5
     gamma = set(nfa.gamma_edges())

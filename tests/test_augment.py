@@ -48,7 +48,7 @@ def test_augment_initial_final():
 def test_augment_partitions_ids(example1):
     aug = augment(example1)
     p0_ids = set(aug.p0.transition_ids())
-    originals = {tid for tid in p0_ids if not aug.is_synthetic(tid)}
+    originals = {tid for tid in p0_ids if tid not in aug.synthetic_ids}
     assert originals == set(example1.transition_ids())
     assert originals | aug.synthetic_ids == p0_ids
     assert not originals & aug.synthetic_ids

@@ -20,11 +20,11 @@ def golden(example1_p0_restricted):
 
 def mids(nfa):
     out = {}
-    out["n1"] = nfa.gamma_in[("a", "q1")]
-    out["n2"] = nfa.gamma_in[("b", "q1")]
-    out["n4"] = nfa.gamma_in[("d", "q2")]
-    out["n3"] = nfa.gamma_in[("a", out["n4"])]
-    out["n5"] = nfa.gamma_in[("c", "q2")]
+    out["n1"] = nfa.gamma_into["a"]["q1"]
+    out["n2"] = nfa.gamma_into["b"]["q1"]
+    out["n4"] = nfa.gamma_into["d"]["q2"]
+    out["n3"] = nfa.gamma_into["a"][out["n4"]]
+    out["n5"] = nfa.gamma_into["c"]["q2"]
     return out
 
 

@@ -38,3 +38,7 @@ def test_traced_analyze_records_work(spans, example1):
     assert tracer.counts["forward.closure_entries"] > 0
     assert tracer.counts["backward.iterations"] > 0
     assert tracer.counts["forward.compute_s_calls"] > 0
+    fwd = mods["pruner"].run_pipeline(example1).fwd
+    assert tracer.counts["nfa.eps_edges"] == len(fwd.nfa.eps_edges)
+    assert tracer.counts["nfa.states"] == len(fwd.nfa.states)
+    assert tracer.counts["forward.passes"] == fwd.passes

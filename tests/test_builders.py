@@ -83,6 +83,19 @@ def test_cfg_to_pda_no_productions():
     assert report.empty_language
 
 
+@pytest.mark.parametrize(
+    "doc,needle",
+    [
+        ("S -> a,b\n", "invalid stack symbol name: 'a,b'"),
+        ("S -> -\n", "invalid stack symbol name: '-'"),
+    ],
+)
+def test_cfg_to_pda_rejects_unprintable_symbols(doc, needle):
+    with pytest.raises(ValueError, match="cfg_to_pda built an invalid pda") as err:
+        cfg_to_pda(parse_grammar(doc))
+    assert needle in str(err.value)
+
+
 def test_cfg_to_pda_agrees_with_grammar_verdicts():
     g = parse_grammar("S -> A b | c\nA -> A\nD -> c\n")
     pda = cfg_to_pda(g)

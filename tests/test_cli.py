@@ -118,6 +118,16 @@ def test_cfg2pda(tmp_path, capsys):
     assert {t.id for t in pda.transitions} == {"start", "prod0", "prod1", "match_a", "accept"}
 
 
+@pytest.mark.parametrize("rule", ["S -> a,b", "S -> -"])
+def test_cfg2pda_invalid_symbol_exit_2(tmp_path, capsys, rule):
+    g = tmp_path / "g.cfg"
+    g.write_text(rule + "\n")
+    out = tmp_path / "g.pda"
+    assert main(["cfg2pda", str(g), "-o", str(out)]) == 2
+    assert "invalid stack symbol name" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_mismatch_exit_4(example1_file, capsys, monkeypatch):
     import pdaprune.cli as cli_module
 

@@ -18,6 +18,7 @@ from pdaprune import (
 )
 
 from .conftest import corpus, make_pda
+from .reference import eps_predecessors
 
 
 def named_gamma_edges(nfa):
@@ -74,7 +75,7 @@ def test_golden_nfa_eps_edges(golden):
     def head(labels, q):
         cur = q
         for label in reversed(labels):
-            cur = nfa.gamma_in[(label, cur)]
+            cur = nfa.gamma_into[label][cur]
         return cur
 
     n1 = head("a", "q1")
@@ -151,9 +152,9 @@ def test_compute_s_worked_values(golden):
     nfa = golden.nfa
     assert compute_s(nfa, "q3", ("b0",)) == {M0}
     assert compute_s(nfa, "q0", ()) == {"q0"}
-    n1 = nfa.gamma_in[("a", "q1")]
+    n1 = nfa.gamma_into["a"]["q1"]
     assert compute_s(nfa, "q2", ("c", "a")) == {n1}
-    n2 = nfa.gamma_in[("b", "q1")]
+    n2 = nfa.gamma_into["b"]["q1"]
     assert compute_s(nfa, "q2", ("d", "b")) == {n2}
 
 
@@ -181,7 +182,7 @@ def test_forward_self_loop_push():
     nfa = fwd.nfa
     assert fwd.u1 == frozenset()
     assert (M0, aug.final_state) in nfa.eps_edges
-    loop = nfa.gamma_in[("a", "q0")]
+    loop = nfa.gamma_into["a"]["q0"]
     assert not is_final(loop)
     assert ("q0", loop) in nfa.eps_edges
     assert nfa_shape_violations(nfa) == []
@@ -239,18 +240,19 @@ def test_closure_duplicate_edge_is_noop():
 
 def test_closure_transitive_on_golden(golden):
     nfa = golden.nfa
-    n1 = nfa.gamma_in[("a", "q1")]
-    n2 = nfa.gamma_in[("b", "q1")]
+    n1 = nfa.gamma_into["a"]["q1"]
+    n2 = nfa.gamma_into["b"]["q1"]
     b_q3 = golden.closure.backward("q3")
     assert b_q3 == {"q3", n1, n2, "q0"}
 
 
 def scratch_backward(nfa, s):
+    eps_in = eps_predecessors(nfa)
     out = {s}
     frontier = [s]
     while frontier:
         cur = frontier.pop()
-        for p in nfa.eps_in.get(cur, ()):
+        for p in eps_in.get(cur, ()):
             if p not in out:
                 out.add(p)
                 frontier.append(p)

@@ -51,6 +51,14 @@ def test_validate_bad_names():
     diags = validate(bad)
     assert any("state name" in d for d in diags)
     assert any("symbol name" in d for d in diags)
+    # '-' passes the name rule but is the text format's empty string, so
+    # only symbols may not take it.
+    assert is_valid_name("-")
+    dashes = make_pda(["-"], ["-"], ["-"], [("-", "-", None, "", "", "-")], "-", [])
+    assert validate(dashes) == [
+        "invalid input symbol name: '-'",
+        "invalid stack symbol name: '-'",
+    ]
 
 
 @pytest.mark.parametrize(

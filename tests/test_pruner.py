@@ -61,15 +61,21 @@ def test_analyze_fans_out_input_duplicates(example1):
 
     from pdaprune import PdaTransition
 
-    # Same shape as t3 but reading an input symbol: both must be dead.
-    extra = PdaTransition("t3x", "q0", "x", (), ("d", "a"), "q2")
+    # Same shapes as t3 and t6 but reading an input symbol: each gets its
+    # twin's verdict, and neither adds NFA states, edges or work.
+    extra = (
+        PdaTransition("t3x", "q0", "x", (), ("d", "a"), "q2"),
+        PdaTransition("t6x", "q2", "x", ("c", "a"), (), "q3"),
+    )
     pda = dataclasses.replace(
         example1,
         input_alphabet=("x",),
-        transitions=example1.transitions + (extra,),
+        transitions=example1.transitions + extra,
     )
     report = analyze(pda)
     assert report.dead == {"t3", "t3x"}
+    assert "t6x" in report.useful
+    assert report.stats == analyze(example1).stats
 
 
 def test_prune_example1(example1):

@@ -65,6 +65,8 @@ def test_print_is_canonical_fixpoint():
         ),
         ("state q0 initial\ntrans t0 q0 -\n", "trans needs"),
         ("flip q0\n", "unknown directive"),
+        ("state q0 initial\nstack -\n", "invalid stack symbol name: '-'"),
+        ("state q0 initial\ninput -\n", "invalid input symbol name: '-'"),
     ],
 )
 def test_parse_errors(doc, needle):
