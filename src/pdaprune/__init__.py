@@ -5,8 +5,10 @@ configuration to a final state.  ``analyze`` splits every transition into
 unreachable / dead / useful by summarizing all reachable stacks in a small
 finite automaton and then propagating acceptance backwards over it;
 ``prune`` removes the useless ones without changing the accepted language.
-The ``oracle`` module holds two independent verifiers used by the test
-suite and the ``verify`` CLI command.
+The ``oracle`` module holds the two independent verifiers behind the
+``verify`` CLI command: a bounded explicit search and an exact grammar
+check.  Reference searches used only as test oracles are not part of the
+package; they live in the test suite.
 """
 
 __version__ = "0.1.0"
@@ -29,14 +31,10 @@ from .model import (
     Symbol,
     is_final,
     make_grammar,
-    nfa_shape_violations,
     validate,
 )
 from .oracle import (
     NormalizedPda,
-    bounded_derivations,
-    bounded_language,
-    bounded_reachable,
     bounded_useful,
     exact_useless,
     grammar_useless,
@@ -75,9 +73,6 @@ __all__ = [
     "Symbol",
     "analyze",
     "augment",
-    "bounded_derivations",
-    "bounded_language",
-    "bounded_reachable",
     "bounded_useful",
     "cfg_to_pda",
     "compute_s",
@@ -86,7 +81,6 @@ __all__ = [
     "grammar_useless",
     "is_final",
     "make_grammar",
-    "nfa_shape_violations",
     "nfa_to_dot",
     "normalize",
     "parse_grammar",

@@ -46,7 +46,7 @@ def nfa_to_dot(nfa: NfaSummary) -> str:
     for s in states:
         shape = "doublecircle" if is_final(s) else "circle"
         lines.append(f"  {names[s]} [shape={shape}, label={_quote(_label(s))}];")
-    lines.append(f"  __start -> {names[nfa.initial]};")
+    lines.append(f"  __start -> {names[M0]};")
     for src, label, dst in sorted(
         nfa.gamma_edges(), key=lambda e: (_order(e[0]), e[1], _order(e[2]))
     ):

@@ -129,7 +129,7 @@ def establish_path(nfa: NfaSummary, labels: tuple[Symbol, ...], z: State) -> Sta
     Reuses the unique existing suffix where possible and only then creates
     fresh intermediate states for the remaining prefix.
     """
-    nfa.ensure_state(z)
+    nfa.states.add(z)
     k = len(labels)
     while k > 0:
         src = nfa.gamma_into.get(labels[k - 1], {}).get(z)

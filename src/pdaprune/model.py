@@ -59,9 +59,6 @@ class Pda:
     initial: str
     finals: frozenset[str]
 
-    def transition_ids(self) -> tuple[str, ...]:
-        return tuple(t.id for t in self.transitions)
-
     def finals_ordered(self) -> tuple[str, ...]:
         """Final states in declaration order."""
         return tuple(q for q in self.states if q in self.finals)
@@ -218,13 +215,6 @@ class NfaSummary:
         self.eps_out: dict[State, set[State]] = {}
         self._next_mid = 1
 
-    @property
-    def initial(self) -> State:
-        return M0
-
-    def ensure_state(self, s: State) -> None:
-        self.states.add(s)
-
     def new_intermediate(self) -> State:
         s = self._next_mid
         self._next_mid += 1
@@ -263,41 +253,3 @@ class NfaSummary:
     def gamma_edges(self) -> Iterator[tuple[State, Symbol, State]]:
         for src, (label, dst) in self.gamma_out.items():
             yield (src, label, dst)
-
-    def gamma_edge_count(self) -> int:
-        return len(self.gamma_out)
-
-
-def nfa_shape_violations(nfa: NfaSummary) -> list[str]:
-    """Post-construction invariants: shape and reachability from m0."""
-    diags: list[str] = []
-    for s in nfa.states:
-        if is_final(s) and s in nfa.gamma_out:
-            diags.append(f"final state {s!r} has an outgoing gamma edge")
-        if not is_final(s) and s not in nfa.gamma_out:
-            diags.append(f"non-final state {s!r} lacks an outgoing gamma edge")
-    for src, (label, dst) in nfa.gamma_out.items():
-        if nfa.gamma_into.get(label, {}).get(dst) != src:
-            diags.append(f"label index lacks {label} edge {src!r}->{dst!r}")
-    for label, into in nfa.gamma_into.items():
-        for dst, src in into.items():
-            if nfa.gamma_out.get(src) != (label, dst):
-                diags.append(f"label index has stray {label} edge {src!r}->{dst!r}")
-    for x, y in nfa.eps_edges:
-        if x not in nfa.states or y not in nfa.states:
-            diags.append(f"eps edge {x!r}->{y!r} touches an unknown state")
-    seen = {M0} if M0 in nfa.states else set()
-    frontier = list(seen)
-    while frontier:
-        s = frontier.pop()
-        nexts = []
-        if s in nfa.gamma_out:
-            nexts.append(nfa.gamma_out[s][1])
-        nexts.extend(nfa.eps_out.get(s, ()))
-        for t in nexts:
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    for s in nfa.states - seen:
-        diags.append(f"state {s!r} unreachable from m0")
-    return diags

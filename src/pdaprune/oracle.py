@@ -1,16 +1,18 @@
-"""Independent verifiers: bounded explicit search and an exact grammar check.
+"""Independent verifiers: a bounded explicit search and an exact grammar check.
 
-The bounded searcher walks the configuration graph directly and is sound
-but not complete (its witnesses are definitely useful).  The exact checker
-converts the automaton to a context-free grammar and reuses the classic
+``bounded_useful`` walks the configuration graph directly under a stack and
+a move bound; it is sound but not complete (its witnesses are definitely
+useful) and backs ``verify --bounded``.  ``exact_useless`` converts the
+automaton to a context-free grammar and reuses the classic
 useless-production elimination; a fresh marker terminal per transition ties
 production usefulness back to transition usefulness.  Neither shares code
-with the detector being verified.
+with the detector being verified.  The searches that only the test suite
+needs (reachable configurations, bounded languages and derivations) live
+in ``tests/reference.py``.
 """
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
 
 from .augment import AugmentedPda, augment
 from .model import (
@@ -28,48 +30,6 @@ from .model import (
 # Bounded explicit-state search
 
 
-def _check_bounds(**bounds: int | None) -> None:
-    for name, value in bounds.items():
-        if value is not None and value < 0:
-            raise ValueError(f"{name} must be non-negative, got {value}")
-
-
-def _moves(
-    by_source: dict[str, list[PdaTransition]], state: str, stack: StackString, max_stack: int
-) -> Iterator[tuple[PdaTransition, StackString]]:
-    """Each transition enabled in (state, stack) with the stack it leaves,
-    if that stack holds at most ``max_stack`` symbols."""
-    for t in by_source.get(state, ()):
-        k = len(t.pop)
-        if stack[:k] == t.pop:
-            new_stack = t.push + stack[k:]
-            if len(new_stack) <= max_stack:
-                yield t, new_stack
-
-
-def bounded_reachable(
-    pda: Pda,
-    start: Configuration,
-    max_stack: int,
-    max_moves: int | None = None,
-) -> set[Configuration]:
-    """All configurations reachable from ``start`` through stacks <= max_stack."""
-    _check_bounds(max_stack=max_stack, max_moves=max_moves)
-    by_source = pda.by_source()
-    seen = {start}
-    frontier = deque([(start, 0)])
-    while frontier:
-        cfg, dist = frontier.popleft()
-        if max_moves is not None and dist >= max_moves:
-            continue
-        for t, stack in _moves(by_source, cfg.state, cfg.stack, max_stack):
-            nxt = Configuration(t.target, stack)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append((nxt, dist + 1))
-    return seen
-
-
 def bounded_useful(pda: Pda, max_stack: int, max_moves: int) -> frozenset[str]:
     """Transitions used on some accepting run within the bounds.
 
@@ -79,7 +39,9 @@ def bounded_useful(pda: Pda, max_stack: int, max_moves: int) -> frozenset[str]:
     edge lies on an accepting bounded run iff the shortest way in plus the
     shortest way from its endpoint to acceptance fits in the move budget.
     """
-    _check_bounds(max_stack=max_stack, max_moves=max_moves)
+    for name, value in (("max_stack", max_stack), ("max_moves", max_moves)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
     by_source = pda.by_source()
     start = Configuration(pda.initial, ())
     dist: dict[Configuration, int] = {start: 0}
@@ -90,7 +52,13 @@ def bounded_useful(pda: Pda, max_stack: int, max_moves: int) -> frozenset[str]:
         d = dist[cfg]
         if d >= max_moves:
             continue
-        for t, stack in _moves(by_source, cfg.state, cfg.stack, max_stack):
+        for t in by_source.get(cfg.state, ()):
+            k = len(t.pop)
+            if cfg.stack[:k] != t.pop:
+                continue
+            stack = t.push + cfg.stack[k:]
+            if len(stack) > max_stack:
+                continue
             nxt = Configuration(t.target, stack)
             edges.append((cfg, t.id, nxt))
             if nxt not in dist:
@@ -118,33 +86,6 @@ def bounded_useful(pda: Pda, max_stack: int, max_moves: int) -> frozenset[str]:
         if tail is not None and dist[src] + 1 + tail <= max_moves:
             out.add(tid)
     return frozenset(out)
-
-
-def bounded_language(
-    pda: Pda, max_len: int, max_stack: int, max_moves: int
-) -> set[tuple[Symbol, ...]]:
-    """Input strings of length <= max_len labeling an accepting bounded run."""
-    _check_bounds(max_len=max_len, max_stack=max_stack, max_moves=max_moves)
-    by_source = pda.by_source()
-    start = (pda.initial, (), ())
-    seen = {start}
-    frontier = deque([(start, 0)])
-    words: set[tuple[Symbol, ...]] = set()
-    while frontier:
-        (state, stack, word), moves = frontier.popleft()
-        if state in pda.finals:
-            words.add(word)
-        if moves >= max_moves:
-            continue
-        for t, new_stack in _moves(by_source, state, stack, max_stack):
-            new_word = word if t.input is None else word + (t.input,)
-            if len(new_word) > max_len:
-                continue
-            node = (t.target, new_stack, new_word)
-            if node not in seen:
-                seen.add(node)
-                frontier.append((node, moves + 1))
-    return words
 
 
 # ---------------------------------------------------------------------------
@@ -376,38 +317,6 @@ def grammar_useless(g: Grammar) -> frozenset[int]:
         for i, (lhs, _) in enumerate(g.productions)
         if missing[i] > 0 or lhs not in reached
     )
-
-
-def bounded_derivations(g: Grammar, max_len: int) -> set[tuple[GrammarSymbol, ...]]:
-    """Terminal strings of length <= max_len derivable from the start symbol.
-
-    Bottom-up fixpoint over truncated per-nonterminal languages; exact for
-    the bounded fragment since strings never shrink while deriving.
-    """
-    lang: dict[GrammarSymbol, set[tuple]] = {a: set() for a in g.nonterminals}
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in g.productions:
-            partial: set[tuple] = {()}
-            for s in rhs:
-                if s in g.nonterminals:
-                    pieces = lang[s]
-                else:
-                    pieces = {(s,)}
-                partial = {
-                    w + p
-                    for w in partial
-                    for p in pieces
-                    if len(w) + len(p) <= max_len
-                }
-                if not partial:
-                    break
-            fresh = partial - lang[lhs]
-            if fresh:
-                lang[lhs] |= fresh
-                changed = True
-    return lang[g.start]
 
 
 def exact_useless(pda: Pda) -> frozenset[str]:

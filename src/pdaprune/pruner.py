@@ -73,7 +73,7 @@ def run_pipeline(pda: Pda, *, use_closure_index: bool = True) -> PipelineResult:
         empty_language=bwd.empty_language,
         stats=AnalysisStats(
             nfa_states=len(fwd.nfa.states),
-            gamma_edges=fwd.nfa.gamma_edge_count(),
+            gamma_edges=len(fwd.nfa.gamma_out),
             eps_edges=sum(map(len, fwd.nfa.eps_out.values())),
             forward_passes=fwd.passes,
             backward_iterations=bwd.iterations,

@@ -159,8 +159,8 @@ def parse_grammar(text: str) -> Grammar:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("%start"):
-            tokens = line.split()
+        tokens = line.split()
+        if tokens[0] == "%start":
             if len(tokens) != 2:
                 raise PdaFormatError("%start needs one symbol", line_no)
             start = tokens[1]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pdaprune import Pda, PdaTransition, is_final, random_pda
+from pdaprune import M0, Pda, PdaTransition, is_final, random_pda
 
 
 def make_pda(states, inputs, stack, transitions, initial, finals):
@@ -69,7 +69,7 @@ def nfa_accepted_configs(nfa, max_len):
         return out
 
     configs = set()
-    frontier = {(): frozenset(closure({nfa.initial}))}
+    frontier = {(): frozenset(closure({M0}))}
     for length in range(max_len + 1):
         nxt = {}
         for word, states in frontier.items():

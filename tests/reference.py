@@ -12,19 +12,158 @@ from pdaprune.augment import _fresh
 from pdaprune.model import NfaShapeError
 
 
+def moves(pda, max_stack=None):
+    """The single-move relation of ``pda`` as a function of a configuration.
+
+    The returned function maps ``cfg`` to the pairs (transition, successor
+    configuration) whose successor stack holds at most ``max_stack``
+    symbols (any number when ``max_stack`` is None).  Input symbols are
+    disregarded.
+    """
+    by_source = pda.by_source()
+
+    def from_cfg(cfg):
+        out = []
+        for t in by_source.get(cfg.state, ()):
+            k = len(t.pop)
+            if cfg.stack[:k] == t.pop:
+                stack = t.push + cfg.stack[k:]
+                if max_stack is None or len(stack) <= max_stack:
+                    out.append((t, Configuration(t.target, stack)))
+        return out
+
+    return from_cfg
+
+
 def step(pda, cfg):
     """All single moves from ``cfg``; input symbols are disregarded.
 
     Returns pairs (transition id, successor configuration).
     """
-    out = set()
-    for t in pda.transitions:
-        if t.source != cfg.state:
+    return {(t.id, nxt) for t, nxt in moves(pda)(cfg)}
+
+
+def bfs(start, successors, max_moves=None):
+    """Breadth-first distances of every node reachable from ``start``.
+
+    ``successors(node)`` yields the nodes one move away.  Nodes at distance
+    ``max_moves`` are reported but not expanded.  This is the test suite's
+    one walk over PDA configurations: the bounded searches below feed it
+    configurations or (configuration, input read so far) pairs.
+    """
+    dist = {start: 0}
+    frontier = deque([start])
+    while frontier:
+        node = frontier.popleft()
+        d = dist[node]
+        if max_moves is not None and d >= max_moves:
             continue
-        k = len(t.pop)
-        if cfg.stack[:k] == t.pop:
-            out.add((t.id, Configuration(t.target, t.push + cfg.stack[k:])))
-    return out
+        for nxt in successors(node):
+            if nxt not in dist:
+                dist[nxt] = d + 1
+                frontier.append(nxt)
+    return dist
+
+
+def bounded_reachable(pda, start, max_stack, max_moves=None):
+    """All configurations reachable from ``start`` through stacks <= max_stack."""
+    move = moves(pda, max_stack)
+    return set(bfs(start, lambda cfg: [nxt for _, nxt in move(cfg)], max_moves))
+
+
+def bounded_fired(pda, start, max_stack):
+    """Transitions that fire on some run within the stack bound."""
+    reach = bounded_reachable(pda, start, max_stack)
+    move = moves(pda, max_stack)
+    return frozenset(t.id for cfg in reach for t, _ in move(cfg))
+
+
+def bounded_language(pda, max_len, max_stack, max_moves, start=None):
+    """Input strings of length <= max_len labeling an accepting bounded run.
+
+    Runs start from ``start``, by default the initial state with an empty
+    stack.
+    """
+    move = moves(pda, max_stack)
+
+    def successors(node):
+        cfg, word = node
+        for t, nxt in move(cfg):
+            longer = word if t.input is None else word + (t.input,)
+            if len(longer) <= max_len:
+                yield nxt, longer
+
+    if start is None:
+        start = Configuration(pda.initial, ())
+    dist = bfs((start, ()), successors, max_moves)
+    return {word for cfg, word in dist if cfg.state in pda.finals}
+
+
+def bounded_derivations(g, max_len):
+    """Terminal strings of length <= max_len derivable from the start symbol.
+
+    Bottom-up fixpoint over truncated per-nonterminal languages; exact for
+    the bounded fragment since strings never shrink while deriving.
+    """
+    lang = {a: set() for a in g.nonterminals}
+    changed = True
+    while changed:
+        changed = False
+        for lhs, rhs in g.productions:
+            partial = {()}
+            for s in rhs:
+                if s in g.nonterminals:
+                    pieces = lang[s]
+                else:
+                    pieces = {(s,)}
+                partial = {
+                    w + p
+                    for w in partial
+                    for p in pieces
+                    if len(w) + len(p) <= max_len
+                }
+                if not partial:
+                    break
+            fresh = partial - lang[lhs]
+            if fresh:
+                lang[lhs] |= fresh
+                changed = True
+    return lang[g.start]
+
+
+def nfa_shape_violations(nfa):
+    """Post-construction invariants: shape and reachability from m0."""
+    diags = []
+    for s in nfa.states:
+        if is_final(s) and s in nfa.gamma_out:
+            diags.append(f"final state {s!r} has an outgoing gamma edge")
+        if not is_final(s) and s not in nfa.gamma_out:
+            diags.append(f"non-final state {s!r} lacks an outgoing gamma edge")
+    for src, (label, dst) in nfa.gamma_out.items():
+        if nfa.gamma_into.get(label, {}).get(dst) != src:
+            diags.append(f"label index lacks {label} edge {src!r}->{dst!r}")
+    for label, into in nfa.gamma_into.items():
+        for dst, src in into.items():
+            if nfa.gamma_out.get(src) != (label, dst):
+                diags.append(f"label index has stray {label} edge {src!r}->{dst!r}")
+    for x, y in nfa.eps_edges:
+        if x not in nfa.states or y not in nfa.states:
+            diags.append(f"eps edge {x!r}->{y!r} touches an unknown state")
+    seen = {M0} if M0 in nfa.states else set()
+    frontier = list(seen)
+    while frontier:
+        s = frontier.pop()
+        nexts = []
+        if s in nfa.gamma_out:
+            nexts.append(nfa.gamma_out[s][1])
+        nexts.extend(nfa.eps_out.get(s, ()))
+        for t in nexts:
+            if t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    for s in nfa.states - seen:
+        diags.append(f"state {s!r} unreachable from m0")
+    return diags
 
 
 def support_initial_stack(pda, initial_stack):
@@ -46,29 +185,6 @@ def support_initial_stack(pda, initial_stack):
         transitions=pda.transitions + (seed,),
         initial=start,
     )
-
-
-def bounded_fired(pda, start, max_stack):
-    """Transitions that fire on some run within the stack bound."""
-    by_source = pda.by_source()
-    fired = set()
-    seen = {start}
-    frontier = deque([start])
-    while frontier:
-        cfg = frontier.popleft()
-        for t in by_source.get(cfg.state, ()):
-            k = len(t.pop)
-            if cfg.stack[:k] != t.pop:
-                continue
-            stack = t.push + cfg.stack[k:]
-            if len(stack) > max_stack:
-                continue
-            fired.add(t.id)
-            nxt = Configuration(t.target, stack)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(fired)
 
 
 def strip_markers(g):

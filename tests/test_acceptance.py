@@ -12,16 +12,14 @@ import time
 import pytest
 
 from pdaprune import (
+    M0,
     Configuration,
     analyze,
     augment,
-    bounded_language,
-    bounded_reachable,
     exact_useless,
     cfg_to_pda,
     grammar_useless,
     make_grammar,
-    nfa_shape_violations,
     prune,
     random_pda,
     run_backward,
@@ -31,6 +29,7 @@ from pdaprune import (
 from pdaprune.model import is_final, remove_transitions
 
 from .conftest import corpus, nfa_accepted_configs, shuffled_transitions
+from .reference import bounded_language, bounded_reachable, nfa_shape_violations
 
 
 def passline(n, message):
@@ -129,7 +128,7 @@ def test_criterion_2_nfa_golden(example1_restricted_forward):
     assert len({n1, n2, n3, n4, n5}) == 5
     gamma = set(nfa.gamma_edges())
     assert gamma == {
-        (nfa.initial, "b0", "q0"),
+        (M0, "b0", "q0"),
         (n1, "a", "q1"),
         (n2, "b", "q1"),
         (n3, "a", n4),
@@ -144,7 +143,7 @@ def test_criterion_2_nfa_golden(example1_restricted_forward):
         ("q1", n4),
         (n1, "q3"),
         (n2, "q3"),
-        (nfa.initial, "qf"),
+        (M0, "qf"),
     }
     assert len(gamma) == 6 and len(nfa.eps_edges) == 8
     passline(2, "summary NFA matches the expected shape (6 gamma + 8 eps edges)")

@@ -47,9 +47,9 @@ def test_augment_initial_final():
 
 def test_augment_partitions_ids(example1):
     aug = augment(example1)
-    p0_ids = set(aug.p0.transition_ids())
+    p0_ids = {t.id for t in aug.p0.transitions}
     originals = {tid for tid in p0_ids if tid not in aug.synthetic_ids}
-    assert originals == set(example1.transition_ids())
+    assert originals == {t.id for t in example1.transitions}
     assert originals | aug.synthetic_ids == p0_ids
     assert not originals & aug.synthetic_ids
 

@@ -56,7 +56,7 @@ def test_prune_writes_document(example1_file, tmp_path, capsys):
     out_path = tmp_path / "pruned.pda"
     assert main(["prune", example1_file, "-o", str(out_path)]) == 0
     pruned = parse_pda(out_path.read_text())
-    assert pruned.transition_ids() == ("t1", "t2", "t4", "t5", "t6", "t7")
+    assert tuple(t.id for t in pruned.transitions) == ("t1", "t2", "t4", "t5", "t6", "t7")
 
 
 def test_nfa_dot_output(example1_file, tmp_path):

@@ -12,13 +12,12 @@ from pdaprune import (
     compute_s,
     establish_path,
     is_final,
-    nfa_shape_violations,
     parse_grammar,
     run_forward,
 )
 
 from .conftest import corpus, make_pda
-from .reference import eps_predecessors
+from .reference import eps_predecessors, nfa_shape_violations
 
 
 def named_gamma_edges(nfa):
@@ -193,9 +192,9 @@ def test_forward_self_loop_push():
 def test_establish_path_empty_labels():
     nfa = NfaSummary()
     z = "q0"
-    nfa.ensure_state(z)
+    nfa.states.add(z)
     assert establish_path(nfa, (), z) is z
-    assert nfa.gamma_edge_count() == 0
+    assert len(nfa.gamma_out) == 0
 
 
 def test_establish_path_creates_chain():
@@ -213,13 +212,13 @@ def test_establish_path_reuses_suffix():
     z = "q2"
     n5 = nfa.new_intermediate()
     nfa.add_gamma_edge(n5, "c", z)
-    before = nfa.gamma_edge_count()
+    before = len(nfa.gamma_out)
     assert establish_path(nfa, ("c",), z) is n5
-    assert nfa.gamma_edge_count() == before
+    assert len(nfa.gamma_out) == before
     # Partial reuse: extend the shared suffix by one fresh state.
     head = establish_path(nfa, ("b", "c"), z)
     assert nfa.gamma_out[head] == ("b", n5)
-    assert nfa.gamma_edge_count() == before + 1
+    assert len(nfa.gamma_out) == before + 1
 
 
 def test_closure_single_edge():
@@ -288,7 +287,7 @@ def test_closure_incremental_equals_scratch(edges):
     closure = EpsClosure()
     nodes = list(range(8))
     for s in nodes:
-        nfa.ensure_state(s)
+        nfa.states.add(s)
     for i, j in edges:
         if nfa.add_eps_edge(nodes[i], nodes[j]):
             closure.add_edge(nodes[i], nodes[j])

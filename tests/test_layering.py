@@ -1,7 +1,11 @@
-"""Import layering of the package, checked on the source with ``ast``."""
+"""Import layering of the package, checked on the source with ``ast``,
+and the test-only references kept out of its namespace."""
 
 import ast
 from pathlib import Path
+
+import pdaprune
+from pdaprune import model, oracle
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pdaprune"
 
@@ -35,3 +39,11 @@ def test_no_src_module_imports_tests():
     for path in SRC.glob("*.py"):
         for name in imported_modules(path):
             assert name.split(".")[0] != "tests", (path.name, name)
+
+
+def test_test_only_references_stay_out_of_the_package():
+    moved = {"bounded_derivations", "bounded_language", "bounded_reachable", "nfa_shape_violations"}
+    for module in (pdaprune, oracle, model):
+        assert not moved & set(vars(module)), module.__name__
+    assert not moved & set(pdaprune.__all__)
+    assert not hasattr(model.Pda, "transition_ids")

@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pdaprune import M0, Configuration, NfaSummary, nfa_shape_violations, validate
+from pdaprune import M0, Configuration, NfaSummary, validate
 from pdaprune.model import NfaShapeError, is_valid_name, remove_transitions
 
 from .conftest import make_pda
-from .reference import step
+from .reference import nfa_shape_violations, step
 
 
 def test_validate_accepts_example1(example1):
@@ -105,7 +105,7 @@ def test_step_ignores_stack_below_pop(suffix):
 
 def test_remove_transitions(example1):
     slim = remove_transitions(example1, {"t3"})
-    assert slim.transition_ids() == ("t1", "t2", "t4", "t5", "t6", "t7")
+    assert tuple(t.id for t in slim.transitions) == ("t1", "t2", "t4", "t5", "t6", "t7")
     assert slim.states == example1.states
 
 
@@ -150,8 +150,8 @@ def test_nfa_eps_edges_deduplicate():
     nfa = NfaSummary()
     x = "q0"
     y = "q1"
-    nfa.ensure_state(x)
-    nfa.ensure_state(y)
+    nfa.states.add(x)
+    nfa.states.add(y)
     assert nfa.add_eps_edge(x, y)
     assert not nfa.add_eps_edge(x, y)
     assert len(nfa.eps_edges) == 1

@@ -4,9 +4,6 @@ from pdaprune import (
     Configuration,
     augment,
     analyze,
-    bounded_derivations,
-    bounded_language,
-    bounded_reachable,
     bounded_useful,
     exact_useless,
     grammar_useless,
@@ -18,7 +15,13 @@ from pdaprune import (
 from pdaprune.oracle import marker_for
 
 from .conftest import make_pda
-from .reference import bounded_fired, strip_markers
+from .reference import (
+    bounded_derivations,
+    bounded_fired,
+    bounded_language,
+    bounded_reachable,
+    strip_markers,
+)
 
 
 def test_bounded_useful_example1(example1):
@@ -84,11 +87,6 @@ def test_bounded_reachable_respects_start(example1):
         lambda pda: bounded_useful(pda, -1, 5),
         lambda pda: bounded_useful(pda, 4, -5),
         lambda pda: bounded_useful(pda, -1, -5),
-        lambda pda: bounded_reachable(pda, Configuration(pda.initial, ()), -1),
-        lambda pda: bounded_reachable(pda, Configuration(pda.initial, ()), 4, -1),
-        lambda pda: bounded_language(pda, -1, 4, 8),
-        lambda pda: bounded_language(pda, 3, -1, 8),
-        lambda pda: bounded_language(pda, 3, 4, -1),
     ],
 )
 def test_bounded_search_rejects_negative_bounds(call):
@@ -158,47 +156,19 @@ def test_normalize_preserves_bounded_language(example1):
         start0 = Configuration(aug.p0.initial, (aug.bottom_marker,))
         # Same accepted inputs when both run from the marked initial stack;
         # the normalized pda needs more moves for its expanded chains.
-        import dataclasses
-
-        p0 = dataclasses.replace(aug.p0, initial=aug.p0.initial)
-        base = {
-            w
-            for w in bounded_language_from(p0, start0, 3, 5, 12)
-        }
-        norm = {
-            w
-            for w in bounded_language_from(npda.pda, start0, 3, 7, 40)
-        }
+        base = bounded_language(aug.p0, 3, 5, 12, start=start0)
+        norm = bounded_language(npda.pda, 3, 7, 40, start=start0)
         assert base == norm, pda
 
 
-def bounded_language_from(pda, start, max_len, max_stack, max_moves):
-    """bounded_language with an explicit start configuration."""
-    by_source = pda.by_source()
-    seen = {(start.state, start.stack, ())}
-    frontier = [((start.state, start.stack, ()), 0)]
-    words = set()
-    while frontier:
-        (state, stack, word), moves = frontier.pop()
-        if state in pda.finals:
-            words.add(word)
-        if moves >= max_moves:
-            continue
-        for t in by_source.get(state, ()):
-            k = len(t.pop)
-            if stack[:k] != t.pop:
-                continue
-            new_stack = t.push + stack[k:]
-            if len(new_stack) > max_stack:
-                continue
-            word2 = word if t.input is None else word + (t.input,)
-            if len(word2) > max_len:
-                continue
-            node = (t.target, new_stack, word2)
-            if node not in seen:
-                seen.add(node)
-                frontier.append((node, moves + 1))
-    return words
+def test_bounded_language_keeps_words_reached_late():
+    # A word's configuration first reached on a long detour must still be
+    # expanded when a shorter route reaches it later.
+    pda = random_pda(377, max_states=3, max_trans=5, gamma_size=2)
+    aug = augment(pda)
+    start0 = Configuration(aug.p0.initial, (aug.bottom_marker,))
+    words = bounded_language(aug.p0, 3, 5, 12, start=start0)
+    assert words == {(), ("y",), ("y", "y"), ("y", "y", "y")}
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +261,7 @@ def test_convergence_to_exact_complement():
     recorded = []
     for seed in range(20):
         pda = random_pda(seed, max_states=3, max_trans=6, gamma_size=2)
-        target = frozenset(pda.transition_ids()) - exact_useless(pda)
+        target = frozenset(t.id for t in pda.transitions) - exact_useless(pda)
         for h, m in [(2, 4), (4, 8), (6, 14), (8, 22), (10, 32)]:
             if bounded_useful(pda, h, m) == target:
                 recorded.append((seed, h, m))

@@ -4,10 +4,8 @@ from pdaprune import (
     Configuration,
     analyze,
     augment,
-    bounded_language,
     bounded_useful,
     compute_s,
-    nfa_shape_violations,
     prune,
     random_pda,
     run_backward,
@@ -16,7 +14,14 @@ from pdaprune import (
 from pdaprune.model import remove_transitions
 
 from .conftest import corpus, nfa_accepted_configs, shuffled_transitions
-from .reference import bounded_fired, reference_backward, unique_gamma_path
+from .reference import (
+    bounded_fired,
+    bounded_language,
+    bounded_reachable,
+    nfa_shape_violations,
+    reference_backward,
+    unique_gamma_path,
+)
 from .test_forward import naive_s, scratch_backward, scratch_forward
 
 
@@ -100,7 +105,7 @@ def unreachable_by_search(aug, u1):
     """Explicitly unreached P0 transitions, escalating the stack cap until
     the search agrees with the claimed unreachable set or clearly refutes it."""
     start = Configuration(aug.p0.initial, (aug.bottom_marker,))
-    all_ids = set(aug.p0.transition_ids())
+    all_ids = {t.id for t in aug.p0.transitions}
     for cap in (8, 12, 16):
         fired = bounded_fired(aug.p0, start, cap)
         assert not (u1 & fired), "claimed-unreachable transition fired"
@@ -123,20 +128,14 @@ def test_summary_accepts_exactly_the_reachable_stacks():
         for h in range(4):
             explicit = {
                 (c.state, c.stack)
-                for c in bounded_reachable_with_slack(aug.p0, start, h)
+                for c in bounded_reachable(aug.p0, start, h + 6)
+                if len(c.stack) <= h
             }
             claimed = {
                 (state, stack)
                 for state, stack in nfa_accepted_configs(fwd.nfa, h)
             }
             assert explicit == claimed, (pda, h)
-
-
-def bounded_reachable_with_slack(p0, start, h, slack=6):
-    from pdaprune import bounded_reachable
-
-    reach = bounded_reachable(p0, start, h + slack)
-    return {c for c in reach if len(c.stack) <= h}
 
 
 def test_prune_language_preserved_on_corpus():

@@ -3,13 +3,13 @@ import pytest
 from pdaprune import (
     InvalidPdaError,
     analyze,
-    bounded_language,
     bounded_useful,
     exact_useless,
     prune,
 )
 
 from .conftest import make_pda
+from .reference import bounded_language
 
 
 def test_analyze_example1(example1):
@@ -81,7 +81,7 @@ def test_analyze_fans_out_input_duplicates(example1):
 def test_prune_example1(example1):
     report = analyze(example1)
     pruned = prune(example1, report)
-    assert pruned.transition_ids() == ("t1", "t2", "t4", "t5", "t6", "t7")
+    assert tuple(t.id for t in pruned.transitions) == ("t1", "t2", "t4", "t5", "t6", "t7")
     assert pruned.states == example1.states
     assert pruned.finals == example1.finals
 

@@ -124,3 +124,8 @@ def test_grammar_errors():
         parse_grammar("%start\n")
     with pytest.raises(PdaFormatError):
         parse_grammar("# nothing\n")
+    # Only the exact token %start declares the start symbol.
+    with pytest.raises(PdaFormatError):
+        parse_grammar("%start_symbol T\nS -> a\n")
+    with pytest.raises(PdaFormatError):
+        parse_grammar("%starter S\nS -> a\n")
