@@ -1,14 +1,15 @@
 """Backward propagation: which reachable transitions can still accept.
 
 A worklist of epsilon edges of the NFA is grown from m0 ->eps qf.  Each
-edge x ->eps y justifies every P1 transition whose push path starts at y
-and whose pop set S(q, pop) contains x; justifying a popping transition in
-turn enqueues the epsilon edges lying on the matching pop paths.  The run
-reads forward's NFA and epsilon closures as built, and a scan's backward
-levels are forward's ``pop_levels``, the walk that also yields S(q, pop).
-The memo is the second documented optimization: a map from each source
-state to its epsilon successors not yet put on the worklist.  A path scan
-removes every edge it emits, so each edge enters the worklist at most once.
+edge x ->eps y justifies every reachable transition whose push path starts
+at y and whose pop set S(q, pop) contains x; justifying a popping
+transition in turn enqueues the epsilon edges lying on the matching pop
+paths.  The run reads forward's NFA and epsilon closures as built, and a
+scan's backward levels are forward's ``pop_levels``, the walk that also
+yields S(q, pop).  The memo is the second documented optimization: a map
+from each source state to its epsilon successors not yet put on the
+worklist.  A path scan removes every edge it emits, so each edge enters
+the worklist at most once.
 
 Scans also skip sources that cannot contribute.  The backward levels of a
 (q, labels) key are fixed, and ``unseen`` only shrinks, so each level keeps
@@ -21,7 +22,6 @@ whose levels have no live source left returns before building any forward
 level.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -120,24 +120,26 @@ class _PathLevels:
 
 def run_backward(
     fwd: ForwardResult,
-    p1: Pda,
+    p0: Pda,
     *,
     pick: Callable[[list], int] | None = None,
 ) -> BackwardResult:
-    """Compute U2, the transitions of P1 that reach no accepting run.
+    """Compute U2, the reachable transitions that reach no accepting run.
 
-    ``p1`` must be P0 with the unreachable transitions removed; its single
-    final state is the augmented one.  If the NFA lacks the edge
-    m0 ->eps qf the accepted language is empty and every transition of P1
-    is returned, flagged ``empty_language``.  ``pick`` overrides the FIFO
-    worklist discipline (it gets the list of pending entries and returns an
-    index); the result set does not depend on it.
+    ``p0`` is the automaton ``fwd`` was computed on; its single final state
+    is the augmented one.  Transitions without a path head are unreachable
+    and skipped, so P1 gives the same result.  If the NFA lacks the edge
+    m0 ->eps qf the accepted language is empty and every reachable
+    transition is returned, flagged ``empty_language``.  ``pick`` overrides
+    the LIFO worklist discipline (it gets the list of pending entries and
+    returns an index); neither U2 nor ``iterations`` depends on it.
     """
     nfa = fwd.nfa
-    if len(p1.finals) != 1:
+    if len(p0.finals) != 1:
         raise ValueError("backward analysis requires the augmented single-final form")
-    (qf,) = p1.finals
-    all_ids = frozenset(t.id for t in p1.transitions)
+    (qf,) = p0.finals
+    reachable = [t for t in p0.transitions if t.id in fwd.path_head]
+    all_ids = frozenset(t.id for t in reachable)
     seed = (M0, qf)
     if qf not in nfa.eps_out.get(M0, ()):
         return BackwardResult(u2=all_ids, iterations=0, empty_language=True)
@@ -145,23 +147,18 @@ def run_backward(
     levels = _PathLevels(nfa, fwd.closure)
     # Every epsilon edge ends at the head of some transition's push path.
     by_head: dict[State, list] = {}
-    for t in p1.transitions:
-        if t.id in fwd.path_head:
-            sset = fwd.ssets.get((t.source, t.pop), frozenset())
-            by_head.setdefault(fwd.path_head[t.id], []).append((t, sset))
+    for t in reachable:
+        sset = fwd.ssets.get((t.source, t.pop), frozenset())
+        by_head.setdefault(fwd.path_head[t.id], []).append((t, sset))
 
     unseen = {x: set(ys) for x, ys in nfa.eps_out.items()}
     unseen[M0].discard(qf)
     u2 = set(all_ids)
-    pending: deque[tuple[State, State]] | list[tuple[State, State]]
-    pending = deque([seed]) if pick is None else [seed]
+    pending = [seed]
     iterations = 0
 
     while pending:
-        if pick is None:
-            x, y = pending.popleft()  # type: ignore[union-attr]
-        else:
-            x, y = pending.pop(pick(list(pending)))
+        x, y = pending.pop(-1 if pick is None else pick(pending))
         iterations += 1
         for t, sset in by_head.get(y, ()):
             if x not in sset:

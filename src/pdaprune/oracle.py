@@ -97,15 +97,15 @@ class NormalizedPda:
     """Single-pop, <=2-push form of an augmented PDA.
 
     Every original transition expands into a fixed chain through fresh
-    states; ``provenance`` maps the one designated representative edge of
-    each chain back to the originating transition.  A transition with an
+    states; the one designated representative edge of each chain keeps the
+    original id, and ``original_ids`` holds those ids.  A transition with an
     empty pop string first pops and re-pushes the actual stack top under a
     fresh placeholder symbol, so all its per-top variants share the
     placeholder-consuming representative edge.
     """
 
     pda: Pda
-    provenance: dict[str, str]
+    original_ids: frozenset[str]
     bottom: Symbol
     accept_state: str
 
@@ -130,7 +130,6 @@ def normalize(aug: AugmentedPda) -> NormalizedPda:
                 return name
 
     out: list[PdaTransition] = []
-    provenance: dict[str, str] = {}
 
     def emit(tid, source, inp, pop_sym, push, target):
         out.append(PdaTransition(tid, source, inp, (pop_sym,), tuple(push), target))
@@ -157,7 +156,6 @@ def normalize(aug: AugmentedPda) -> NormalizedPda:
     for t in p0.transitions:
         if t.pop:
             # Pure pops first, then the push chain rides on the last pop.
-            provenance[t.id] = t.id
             cur, tid, inp = t.source, t.id, t.input
             for i in range(len(t.pop) - 1):
                 nxt = fresh("state", "__nm", taken_states, mid_states)
@@ -169,7 +167,6 @@ def normalize(aug: AugmentedPda) -> NormalizedPda:
             m = fresh("state", "__nm", taken_states, mid_states)
             for x in p0.stack_alphabet:
                 emit(fresh("id", "__nt", taken_ids, None), t.source, t.input, x, (w, x), m)
-            provenance[t.id] = t.id
             push_chain(t.id, m, None, w, t.push, t.target)
 
     (accept,) = p0.finals
@@ -182,7 +179,10 @@ def normalize(aug: AugmentedPda) -> NormalizedPda:
         finals=p0.finals,
     )
     return NormalizedPda(
-        pda=npda, provenance=provenance, bottom=aug.bottom_marker, accept_state=accept
+        pda=npda,
+        original_ids=frozenset(t.id for t in p0.transitions),
+        bottom=aug.bottom_marker,
+        accept_state=accept,
     )
 
 
@@ -235,7 +235,7 @@ def pda_to_grammar(npda: NormalizedPda) -> tuple[Grammar, dict[int, str | None]]
         triple = queue.popleft()
         src, top, dst = triple
         for t in by_pop.get((src, top), ()):
-            origin_id = npda.provenance.get(t.id)
+            origin_id = t.id if t.id in npda.original_ids else None
             prefix: tuple[GrammarSymbol, ...] = ()
             if origin_id is not None:
                 prefix += (marker_for(origin_id),)
@@ -257,7 +257,7 @@ def pda_to_grammar(npda: NormalizedPda) -> tuple[Grammar, dict[int, str | None]]
                     need(right)
 
     terminals = set(p.input_alphabet)
-    terminals.update(marker_for(tid) for tid in npda.provenance.values())
+    terminals.update(marker_for(tid) for tid in npda.original_ids)
     grammar = Grammar(
         nonterminals=frozenset(needed),
         terminals=frozenset(terminals),

@@ -48,7 +48,6 @@ class PipelineResult:
     report: AnalysisReport
     aug: AugmentedPda
     fwd: ForwardResult
-    p1: Pda
     bwd: BackwardResult
 
 
@@ -60,8 +59,7 @@ def run_pipeline(pda: Pda, *, use_closure_index: bool = True) -> PipelineResult:
 
     aug = augment(pda)
     fwd = run_forward(aug.p0, aug.bottom_marker, use_closure_index=use_closure_index)
-    p1 = remove_transitions(aug.p0, set(fwd.u1))
-    bwd = run_backward(fwd, p1)
+    bwd = run_backward(fwd, aug.p0)
 
     unreachable = fwd.u1 - aug.synthetic_ids
     dead = bwd.u2 - aug.synthetic_ids
@@ -79,7 +77,7 @@ def run_pipeline(pda: Pda, *, use_closure_index: bool = True) -> PipelineResult:
             backward_iterations=bwd.iterations,
         ),
     )
-    return PipelineResult(report=report, aug=aug, fwd=fwd, p1=p1, bwd=bwd)
+    return PipelineResult(report=report, aug=aug, fwd=fwd, bwd=bwd)
 
 
 def analyze(pda: Pda, *, use_closure_index: bool = True) -> AnalysisReport:

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from pdaprune import M0, Pda, PdaTransition, is_final, random_pda
+from pdaprune import M0, Pda, PdaTransition, is_final, random_pda, run_forward
+
+from .reference import bfs
 
 
 def make_pda(states, inputs, stack, transitions, initial, finals):
@@ -18,6 +20,24 @@ def make_pda(states, inputs, stack, transitions, initial, finals):
         initial=initial,
         finals=frozenset(finals),
     )
+
+
+# The worked example of the ``example1`` fixture, in the text format.
+EXAMPLE1_DOC = """\
+# worked example
+state q0 initial
+state q1
+state q2
+state q3 final
+stack a b c d
+trans t1 q0 - - a q1
+trans t2 q0 - - b q1
+trans t3 q0 - - d,a q2
+trans t4 q1 - - c q2
+trans t5 q1 - - d q2
+trans t6 q2 - c,a - q3
+trans t7 q2 - d,b - q3
+"""
 
 
 def corpus(count, start_seed=0, max_states=6, max_trans=12, gamma_size=3):
@@ -53,35 +73,19 @@ def shuffled_transitions(pda, seed):
 def nfa_accepted_configs(nfa, max_len):
     """(state, stack) pairs the summary NFA claims reachable, stacks <= max_len.
 
-    Enumerates label strings from m0 with epsilon closure between hops; the
-    stack is the reverse of the accepted string.
+    Walks (state, label string read from m0) pairs, epsilon edges allowed
+    anywhere; the stack is the reverse of a string read into a final state.
     """
 
-    def closure(states):
-        out = set(states)
-        frontier = list(states)
-        while frontier:
-            s = frontier.pop()
-            for t in nfa.eps_out.get(s, ()):
-                if t not in out:
-                    out.add(t)
-                    frontier.append(t)
+    def successors(node):
+        s, word = node
+        out = [(t, word) for t in nfa.eps_out.get(s, ())]
+        edge = nfa.gamma_out.get(s)
+        if edge is not None and len(word) < max_len:
+            out.append((edge[1], word + (edge[0],)))
         return out
 
-    configs = set()
-    frontier = {(): frozenset(closure({M0}))}
-    for length in range(max_len + 1):
-        nxt = {}
-        for word, states in frontier.items():
-            for s in states:
-                if is_final(s):
-                    configs.add((s, tuple(reversed(word))))
-                edge = nfa.gamma_out.get(s)
-                if edge is not None and length < max_len:
-                    key = word + (edge[0],)
-                    nxt.setdefault(key, set()).update(closure({edge[1]}))
-        frontier = {w: frozenset(s) for w, s in nxt.items()}
-    return configs
+    return {(s, tuple(reversed(word))) for s, word in bfs((M0, ()), successors) if is_final(s)}
 
 
 @pytest.fixture
@@ -128,3 +132,9 @@ def example1_p0_restricted():
         initial="q0",
         finals=["qf"],
     )
+
+
+@pytest.fixture
+def golden(example1_p0_restricted):
+    """Forward result on the restricted example: the golden summary NFA."""
+    return run_forward(example1_p0_restricted, "b0")

@@ -48,8 +48,9 @@ def bfs(start, successors, max_moves=None):
 
     ``successors(node)`` yields the nodes one move away.  Nodes at distance
     ``max_moves`` are reported but not expanded.  This is the test suite's
-    one walk over PDA configurations: the bounded searches below feed it
-    configurations or (configuration, input read so far) pairs.
+    one graph walk: the bounded searches below feed it PDA configurations or
+    (configuration, input read so far) pairs, and the NFA references feed it
+    summary states or (state, pop position) pairs.
     """
     dist = {start: 0}
     frontier = deque([start])
@@ -149,19 +150,15 @@ def nfa_shape_violations(nfa):
     for x, y in nfa.eps_edges:
         if x not in nfa.states or y not in nfa.states:
             diags.append(f"eps edge {x!r}->{y!r} touches an unknown state")
-    seen = {M0} if M0 in nfa.states else set()
-    frontier = list(seen)
-    while frontier:
-        s = frontier.pop()
-        nexts = []
+
+    def successors(s):
+        out = list(nfa.eps_out.get(s, ()))
         if s in nfa.gamma_out:
-            nexts.append(nfa.gamma_out[s][1])
-        nexts.extend(nfa.eps_out.get(s, ()))
-        for t in nexts:
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    for s in nfa.states - seen:
+            out.append(nfa.gamma_out[s][1])
+        return out
+
+    seen = bfs(M0, successors) if M0 in nfa.states else {}
+    for s in nfa.states - seen.keys():
         diags.append(f"state {s!r} unreachable from m0")
     return diags
 
@@ -224,13 +221,49 @@ def unique_gamma_path(nfa, y):
     return tuple(labels), cur
 
 
-def eps_predecessors(nfa):
-    """The inverse of ``nfa.eps_out``: each state's epsilon predecessors."""
-    out = {}
-    for u, vs in nfa.eps_out.items():
-        for v in vs:
-            out.setdefault(v, set()).add(u)
-    return out
+def pop_path_moves(nfa, labels):
+    """Moves over (state, position) pairs while reading ``labels`` in order.
+
+    Epsilon edges keep the position; a gamma edge labeled ``labels[i]``
+    advances position i to i + 1.
+    """
+
+    def successors(node):
+        u, i = node
+        out = [(v, i) for v in nfa.eps_out.get(u, ())]
+        if i < len(labels):
+            edge = nfa.gamma_out.get(u)
+            if edge is not None and edge[0] == labels[i]:
+                out.append((edge[1], i + 1))
+        return out
+
+    return successors
+
+
+def naive_s(nfa, q, sigma):
+    """Brute-force S(q, sigma): the sources of sigma[-1]-edges whose target
+    reads the rest of sigma, bottom-most first, into q."""
+    if q not in nfa.states:
+        return set()
+    if not sigma:
+        return {q}
+    labels = tuple(reversed(sigma[:-1]))
+    step = pop_path_moves(nfa, labels)
+    return {
+        src
+        for src, (label, dst) in nfa.gamma_out.items()
+        if label == sigma[-1] and (q, len(labels)) in bfs((dst, 0), step)
+    }
+
+
+def scratch_forward(nfa, s):
+    """States reachable from s over epsilon edges (reflexive)."""
+    return set(bfs(s, lambda u: nfa.eps_out.get(u, ())))
+
+
+def scratch_backward(nfa, s):
+    """States of ``nfa`` with an epsilon-only path to s (reflexive)."""
+    return {u for u in nfa.states if s in scratch_forward(nfa, u)}
 
 
 def scan_eps_on_paths(nfa, x, sigma, q):
@@ -240,7 +273,9 @@ def scan_eps_on_paths(nfa, x, sigma, q):
     reversed pop string may be interleaved with epsilon edges anywhere.  An
     edge qualifies only if it lies on a complete such path, so the scan
     intersects forward reachability from the hop target with backward
-    reachability from q over the (position, state) product.
+    reachability from q over the (state, position) product.  Only nodes
+    the forward walk reached matter, so the backward walk follows its
+    moves reversed.
     """
     if not sigma or q not in nfa.states:
         return set()
@@ -248,50 +283,23 @@ def scan_eps_on_paths(nfa, x, sigma, q):
     if hop is None or hop[0] != sigma[-1]:
         return set()
     labels = tuple(reversed(sigma[:-1]))
-    k = len(labels)
-
-    fwd = set()
-    stack = [(hop[1], 0)]
-    while stack:
-        node = stack.pop()
-        if node in fwd:
-            continue
-        fwd.add(node)
-        u, i = node
-        for v in nfa.eps_out.get(u, ()):
-            stack.append((v, i))
-        if i < k:
-            edge = nfa.gamma_out.get(u)
-            if edge is not None and edge[0] == labels[i]:
-                stack.append((edge[1], i + 1))
-
-    eps_in = eps_predecessors(nfa)
-    bwd = set()
-    stack = [(q, k)]
-    while stack:
-        node = stack.pop()
-        if node in bwd:
-            continue
-        bwd.add(node)
-        v, i = node
-        for u in eps_in.get(v, ()):
-            stack.append((u, i))
-        if i > 0:
-            src = nfa.gamma_into.get(labels[i - 1], {}).get(v)
-            if src is not None:
-                stack.append((src, i - 1))
-
-    found = set()
-    for u, i in fwd:
-        for v in nfa.eps_out.get(u, ()):
-            if (v, i) in bwd:
-                found.add((u, v))
-    return found
+    step = pop_path_moves(nfa, labels)
+    fwd = bfs((hop[1], 0), step)
+    into = {}
+    for node in fwd:
+        for nxt in step(node):
+            into.setdefault(nxt, []).append(node)
+    bwd = bfs((q, len(labels)), lambda node: into.get(node, ()))
+    return {(u, v) for u, i in fwd for v in nfa.eps_out.get(u, ()) if (v, i) in bwd}
 
 
-def reference_backward(fwd, p1):
+def reference_backward(fwd, p1, on_step=None):
     """U2 from a worklist built directly on unique_gamma_path and
-    scan_eps_on_paths over the plain NFA."""
+    scan_eps_on_paths over the plain NFA.
+
+    ``on_step``, when given, is called with the size of U2 after each
+    processed edge.
+    """
     nfa = fwd.nfa
     (qf,) = p1.finals
     seed = (M0, qf)
@@ -315,4 +323,6 @@ def reference_backward(fwd, p1):
                     if edge not in enqueued:
                         enqueued.add(edge)
                         pending.append(edge)
+        if on_step is not None:
+            on_step(len(u2))
     return frozenset(u2)

@@ -258,8 +258,9 @@ def test_criterion_9_order_independence(corpus500, pipelines500):
             permuted = shuffled_transitions(pda, seed=7000 + 10 * seed + k)
             assert analyze(permuted).useless == base.report.useless, (seed, k)
         p1 = remove_transitions(base.aug.p0, set(base.fwd.u1))
-        fifo = run_backward(base.fwd, p1).u2
-        lifo = run_backward(base.fwd, p1, pick=lambda p: len(p) - 1).u2
-        rnd = run_backward(base.fwd, p1, pick=lambda p: rng.randrange(len(p))).u2
-        assert fifo == lifo == rnd, seed
+        default = run_backward(base.fwd, p1)
+        fifo = run_backward(base.fwd, p1, pick=lambda p: 0)
+        rnd = run_backward(base.fwd, p1, pick=lambda p: rng.randrange(len(p)))
+        assert default.u2 == fifo.u2 == rnd.u2, seed
+        assert default.iterations == fifo.iterations == rnd.iterations, seed
     passline(9, "useless sets invariant under transition and worklist reordering, 50 pdas")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from pdaprune import (
@@ -10,12 +12,7 @@ from pdaprune import (
 from pdaprune.model import remove_transitions
 
 from .conftest import make_pda
-from .reference import scan_eps_on_paths, unique_gamma_path
-
-
-@pytest.fixture
-def golden(example1_p0_restricted):
-    return run_forward(example1_p0_restricted, "b0")
+from .reference import reference_backward, scan_eps_on_paths, unique_gamma_path
 
 
 def mids(nfa):
@@ -116,39 +113,23 @@ def test_scan_eps_worked_values(golden):
 
 
 def test_backward_order_independent(golden, example1_p0_restricted):
-    fifo = run_backward(golden, example1_p0_restricted)
-    lifo = run_backward(golden, example1_p0_restricted, pick=lambda pending: len(pending) - 1)
-    middle = run_backward(golden, example1_p0_restricted, pick=lambda pending: len(pending) // 2)
-    assert fifo.u2 == lifo.u2 == middle.u2
+    rng = random.Random(7)
+    runs = [
+        run_backward(golden, example1_p0_restricted, pick=pick)
+        for pick in (
+            None,
+            lambda pending: 0,
+            lambda pending: len(pending) // 2,
+            lambda pending: rng.randrange(len(pending)),
+        )
+    ]
+    assert len({run.u2 for run in runs}) == 1
+    assert len({run.iterations for run in runs}) == 1
 
 
 def test_backward_monotone_shrinking(golden, example1_p0_restricted):
     """u2 only loses members as edges are processed."""
-    from collections import deque
-
-    fwd = golden
-    p1 = example1_p0_restricted
-    nfa = fwd.nfa
-    by_push_target = {}
-    for t in p1.transitions:
-        by_push_target.setdefault((t.push, t.target), []).append(t)
-    u2 = {t.id for t in p1.transitions}
-    sizes = [len(u2)]
-    seed = (M0, "qf")
-    enqueued = {seed}
-    pending = deque([seed])
-    while pending:
-        x, y = pending.popleft()
-        labels, r = unique_gamma_path(nfa, y)
-        for t in by_push_target.get((tuple(reversed(labels)), r), ()):
-            if x not in fwd.ssets.get((t.source, t.pop), ()):
-                continue
-            u2.discard(t.id)
-            if t.pop:
-                for edge in scan_eps_on_paths(nfa, x, t.pop, t.source):
-                    if edge not in enqueued:
-                        enqueued.add(edge)
-                        pending.append(edge)
-        sizes.append(len(u2))
+    sizes = [len(example1_p0_restricted.transitions)]
+    reference_backward(golden, example1_p0_restricted, on_step=sizes.append)
     assert sizes == sorted(sizes, reverse=True)
     assert sizes[-1] == 1

@@ -9,7 +9,7 @@ import pdaprune
 from pdaprune import parse_pda, print_pda, random_pda
 from pdaprune.cli import main
 
-from .test_textio import EXAMPLE1_DOC
+from .conftest import EXAMPLE1_DOC
 
 EMPTY_LANG_DOC = "state q0 initial\nstack a\ntrans t0 q0 - - a q0\n"
 

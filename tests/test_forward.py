@@ -17,7 +17,13 @@ from pdaprune import (
 )
 
 from .conftest import corpus, make_pda
-from .reference import eps_predecessors, nfa_shape_violations
+from .reference import (
+    naive_s,
+    nfa_shape_violations,
+    scratch_backward,
+    scratch_forward,
+    unique_gamma_path,
+)
 
 
 def named_gamma_edges(nfa):
@@ -29,18 +35,10 @@ def named_gamma_edges(nfa):
             return "m0"
         if is_final(s):
             return s
-        labels = []
-        while not is_final(s):
-            label, s = nfa.gamma_out[s]
-            labels.append(label)
-        return "via:" + "".join(labels) + ">" + s
+        labels, end = unique_gamma_path(nfa, s)
+        return "via:" + "".join(labels) + ">" + end
 
     return {(pathname(src), label, pathname(dst)) for src, label, dst in nfa.gamma_edges()}
-
-
-@pytest.fixture
-def golden(example1_p0_restricted):
-    return run_forward(example1_p0_restricted, "b0")
 
 
 def test_golden_u1_empty(golden):
@@ -245,31 +243,6 @@ def test_closure_transitive_on_golden(golden):
     assert b_q3 == {"q3", n1, n2, "q0"}
 
 
-def scratch_backward(nfa, s):
-    eps_in = eps_predecessors(nfa)
-    out = {s}
-    frontier = [s]
-    while frontier:
-        cur = frontier.pop()
-        for p in eps_in.get(cur, ()):
-            if p not in out:
-                out.add(p)
-                frontier.append(p)
-    return out
-
-
-def scratch_forward(nfa, s):
-    out = {s}
-    frontier = [s]
-    while frontier:
-        cur = frontier.pop()
-        for n in nfa.eps_out.get(cur, ()):
-            if n not in out:
-                out.add(n)
-                frontier.append(n)
-    return out
-
-
 def test_closure_matches_scratch_on_golden(golden):
     for s in golden.nfa.states:
         assert golden.closure.backward(s) == scratch_backward(golden.nfa, s)
@@ -294,42 +267,6 @@ def test_closure_incremental_equals_scratch(edges):
     for s in nodes:
         assert closure.backward(s) == scratch_backward(nfa, s)
         assert closure.forward(s) == scratch_forward(nfa, s)
-
-
-def naive_s(nfa, q, sigma):
-    """Brute-force S(q, sigma): enumerate gamma-first product paths."""
-    q_state = q
-    if q_state not in nfa.states:
-        return set()
-    if not sigma:
-        return {q_state}
-    a = sigma[-1]
-    labels = tuple(reversed(sigma[:-1]))
-    out = set()
-    for src, (label, dst) in nfa.gamma_out.items():
-        if label != a:
-            continue
-        seen = set()
-        frontier = [(dst, 0)]
-        ok = False
-        while frontier:
-            node = frontier.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            u, i = node
-            if i == len(labels) and u == q_state:
-                ok = True
-                break
-            for v in nfa.eps_out.get(u, ()):
-                frontier.append((v, i))
-            if i < len(labels):
-                g = nfa.gamma_out.get(u)
-                if g is not None and g[0] == labels[i]:
-                    frontier.append((g[1], i + 1))
-        if ok:
-            out.add(src)
-    return out
 
 
 def test_compute_s_equals_bruteforce_on_golden(golden, example1_p0_restricted):

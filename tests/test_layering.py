@@ -1,5 +1,6 @@
-"""Import layering of the package, checked on the source with ``ast``,
-and the test-only references kept out of its namespace."""
+"""Import layering of the package and of the tests, checked on the source
+with ``ast``, and the test-only references kept out of the package's
+namespace."""
 
 import ast
 from pathlib import Path
@@ -7,11 +8,12 @@ from pathlib import Path
 import pdaprune
 from pdaprune import model, oracle
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pdaprune"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "pdaprune"
 
 
-def imported_modules(path):
-    """Absolute names of the modules a source file imports."""
+def imported_modules(path, package="pdaprune"):
+    """Absolute names of the modules a source file of ``package`` imports."""
     out = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
@@ -19,7 +21,7 @@ def imported_modules(path):
         elif isinstance(node, ast.ImportFrom):
             base = node.module or ""
             if node.level:
-                base = "pdaprune" + ("." + base if base else "")
+                base = package + ("." + base if base else "")
             out.add(base)
             out.update(f"{base}.{alias.name}" for alias in node.names)
     return out
@@ -47,3 +49,11 @@ def test_test_only_references_stay_out_of_the_package():
         assert not moved & set(vars(module)), module.__name__
     assert not moved & set(pdaprune.__all__)
     assert not hasattr(model.Pda, "transition_ids")
+
+
+def test_no_test_module_imports_another():
+    """Shared test helpers live in ``conftest`` or ``reference``."""
+    for path in TESTS.glob("test_*.py"):
+        for name in imported_modules(path, "tests"):
+            parts = name.split(".")
+            assert not any(part.startswith("test_") for part in parts[:2]), (path.name, name)

@@ -128,7 +128,7 @@ def test_normalize_single_pop_single_push_unchanged():
     kept = [t for t in npda.pda.transitions if t.id == "t0"]
     assert len(kept) == 1
     assert kept[0].pop == ("a",) and kept[0].push == ("a",)
-    assert npda.provenance["t0"] == "t0"
+    assert "t0" in npda.original_ids
 
 
 def test_normalize_pop_eps_uses_placeholder():

@@ -18,11 +18,13 @@ from .reference import (
     bounded_fired,
     bounded_language,
     bounded_reachable,
+    naive_s,
     nfa_shape_violations,
     reference_backward,
+    scratch_backward,
+    scratch_forward,
     unique_gamma_path,
 )
-from .test_forward import naive_s, scratch_backward, scratch_forward
 
 
 def forward_of(pda):
@@ -86,11 +88,21 @@ def test_backward_worklist_order_independence():
     for i, pda in enumerate(corpus(30)):
         aug, fwd = forward_of(pda)
         p1 = remove_transitions(aug.p0, set(fwd.u1))
-        fifo = run_backward(fwd, p1)
-        lifo = run_backward(fwd, p1, pick=lambda pending: len(pending) - 1)
+        default = run_backward(fwd, p1)
+        fifo = run_backward(fwd, p1, pick=lambda pending: 0)
         rng = random.Random(i)
         rnd = run_backward(fwd, p1, pick=lambda pending: rng.randrange(len(pending)))
-        assert fifo.u2 == lifo.u2 == rnd.u2, pda
+        assert default.u2 == fifo.u2 == rnd.u2, pda
+        assert default.iterations == fifo.iterations == rnd.iterations, pda
+
+
+def test_backward_on_p0_equals_backward_on_p1():
+    """Backward skips the transitions forward gave no path head, so it
+    needs no P1 built for it."""
+    for pda in corpus(60):
+        aug, fwd = forward_of(pda)
+        p1 = remove_transitions(aug.p0, set(fwd.u1))
+        assert run_backward(fwd, aug.p0) == run_backward(fwd, p1), pda
 
 
 def test_backward_processes_each_eps_edge_once():
@@ -160,10 +172,9 @@ def test_bounded_witnesses_always_classified_useful():
             assert bounded_useful(pda, h, m) <= report.useful, (pda, h, m)
 
 
-def test_backward_engine_matches_reference(example1_p0_restricted):
+def test_backward_engine_matches_reference(golden, example1_p0_restricted):
     """The indexed fast path inside run_backward computes the same set as a
     naive loop over unique_gamma_path and scan_eps_on_paths."""
-    golden = run_forward(example1_p0_restricted, "b0")
     assert run_backward(golden, example1_p0_restricted).u2 == reference_backward(
         golden, example1_p0_restricted
     )
@@ -182,13 +193,15 @@ def test_backward_engine_matches_reference_on_dense_instance():
     aug, fwd = forward_of(pda)
     p1 = remove_transitions(aug.p0, set(fwd.u1))
     expected = reference_backward(fwd, p1)
-    fifo = run_backward(fwd, p1)
-    assert not fifo.empty_language
-    assert fifo.iterations < len(fwd.nfa.eps_edges)
+    default = run_backward(fwd, p1)
+    assert not default.empty_language
+    assert default.iterations < len(fwd.nfa.eps_edges)
     rng = random.Random(2025)
     for pick in (
         None,
-        lambda pending: len(pending) - 1,
+        lambda pending: 0,
         lambda pending: rng.randrange(len(pending)),
     ):
-        assert run_backward(fwd, p1, pick=pick).u2 == expected
+        result = run_backward(fwd, p1, pick=pick)
+        assert result.u2 == expected
+        assert result.iterations == default.iterations

@@ -11,21 +11,7 @@ from pdaprune import (
     random_pda,
 )
 
-EXAMPLE1_DOC = """\
-# worked example
-state q0 initial
-state q1
-state q2
-state q3 final
-stack a b c d
-trans t1 q0 - - a q1
-trans t2 q0 - - b q1
-trans t3 q0 - - d,a q2
-trans t4 q1 - - c q2
-trans t5 q1 - - d q2
-trans t6 q2 - c,a - q3
-trans t7 q2 - d,b - q3
-"""
+from .conftest import EXAMPLE1_DOC
 
 
 def test_parse_example1_document(example1):
