@@ -14,6 +14,11 @@ pass only delays an edge to the next pass, and the last pass changes
 nothing, so its S-sets are exact.  A transition is unreachable exactly when
 no pass gave it a path head.
 
+Only members new since the group's previous evaluation get edges (the
+"new members only" half of post* saturation).  S-sets only grow as the NFA
+grows, and the first non-empty evaluation gives every transition of the
+group its head, so each earlier member already has an edge to every head.
+
 ``pop_levels`` is the one pop-path walk: ``compute_s`` reads S(q, pop) off
 its last level, and the backward path scans read their levels from it too.
 It hops gamma edges through the NFA's per-label index, intersecting a level
@@ -40,6 +45,12 @@ class EpsClosure:
     ``s``); ``fro[s]`` is the forward mirror, needed to keep ``to`` exact as
     edges arrive one by one.  Entries materialize lazily so freshly created
     NFA states need no registration call.
+
+    A new edge x -> y unions ``to[x]`` into ``to[s]`` for every s in
+    ``fro[y]``, and ``fro[y]`` into ``fro[p]`` for every p in ``to[x]``.
+    Rows are exact before the edge, so a ``to`` row that already holds x
+    already holds all of ``to[x]`` and is skipped; likewise a ``fro`` row
+    that holds y.
     """
 
     def __init__(self) -> None:
@@ -55,12 +66,18 @@ class EpsClosure:
     def add_edge(self, x: State, y: State) -> None:
         if y in self.forward(x):
             return
-        sources = set(self.backward(x))
-        targets = set(self.forward(y))
+        sources = self.backward(x)
+        targets = self.forward(y)
+        # On a cycle the skip covers to[x] and fro[y] themselves, so the
+        # two rows being iterated are never the ones being updated.
         for s in targets:
-            self.backward(s).update(sources)
+            row = self.backward(s)
+            if x not in row:
+                row.update(sources)
         for p in sources:
-            self.forward(p).update(targets)
+            row = self.forward(p)
+            if y not in row:
+                row.update(targets)
 
 
 def eps_backward_set(
@@ -171,8 +188,9 @@ def run_forward(p0: Pda, bottom: Symbol, *, use_closure_index: bool = True) -> F
     for t in p0.transitions:
         groups.setdefault((t.source, t.pop), []).append(t)
     path_head: dict[str, State] = {}
-    # Overwritten every pass; the final pass changes nothing, so its values
-    # are the S-sets of the finished NFA that the backward procedure needs.
+    # Overwritten every pass, after the group has read its previous value;
+    # the final pass changes nothing, so its values are the S-sets of the
+    # finished NFA that the backward procedure needs.
     ssets: dict[tuple[str, StackString], set[State]] = {}
     passes = 0
     while True:
@@ -184,8 +202,10 @@ def run_forward(p0: Pda, bottom: Symbol, *, use_closure_index: bool = True) -> F
             if q not in nfa.states:
                 ssets[(q, pop)] = set()
                 continue
+            previous = ssets.get((q, pop), ())
             s_set = ssets[(q, pop)] = compute_s(nfa, q, pop, index)
-            if not s_set:
+            fresh = s_set.difference(previous)
+            if not fresh:
                 continue
             for t in group:
                 head = path_head.get(t.id)
@@ -193,7 +213,7 @@ def run_forward(p0: Pda, bottom: Symbol, *, use_closure_index: bool = True) -> F
                     head = path_head[t.id] = establish_path(
                         nfa, tuple(reversed(t.push)), t.target
                     )
-                for x in s_set:
+                for x in fresh:
                     if nfa.add_eps_edge(x, head):
                         closure.add_edge(x, head)
                         changed = True

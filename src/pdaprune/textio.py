@@ -17,13 +17,31 @@ separates alternatives on input), plus an optional ``%start A`` line;
 a symbol is a terminal iff it never appears on a left-hand side.
 """
 
-from .model import Grammar, Pda, PdaTransition, StackString, make_grammar, validate
+# ``validate`` is not called here but stays bound: the traced bench run
+# wraps ``textio.validate`` by name.
+from .model import (  # noqa: F401
+    Grammar,
+    Pda,
+    PdaTransition,
+    StackString,
+    is_valid_name,
+    make_grammar,
+    validate,
+)
 
 
 class PdaFormatError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+def _check_name(name: str, kind: str, line_no: int) -> None:
+    """Raise ``validate``'s diagnostic at ``line_no`` unless ``name`` is a
+    legal ``kind``."""
+    # '-' is the text format's empty string, so it cannot name a symbol.
+    if not is_valid_name(name) or (name == "-" and "symbol" in kind):
+        raise PdaFormatError(f"invalid {kind}: {name!r}", line_no)
 
 
 def _split_list(token: str, declared: set[str], line_no: int, role: str) -> StackString:
@@ -57,6 +75,7 @@ def parse_pda(text: str) -> Pda:
             if len(tokens) < 2:
                 raise PdaFormatError("state needs a name", line_no)
             name = tokens[1]
+            _check_name(name, "state name", line_no)
             if name in states:
                 raise PdaFormatError(f"duplicate state {name!r}", line_no)
             states.append(name)
@@ -71,11 +90,13 @@ def parse_pda(text: str) -> Pda:
                     raise PdaFormatError(f"unknown state flag {flag!r}", line_no)
         elif directive == "input":
             for s in tokens[1:]:
+                _check_name(s, "input symbol name", line_no)
                 if s in inputs:
                     raise PdaFormatError(f"duplicate input symbol {s!r}", line_no)
                 inputs.append(s)
         elif directive == "stack":
             for s in tokens[1:]:
+                _check_name(s, "stack symbol name", line_no)
                 if s in stacks:
                     raise PdaFormatError(f"duplicate stack symbol {s!r}", line_no)
                 stacks.append(s)
@@ -96,6 +117,7 @@ def parse_pda(text: str) -> Pda:
         if len(tokens) != 7:
             raise PdaFormatError("trans needs: id from input pop push to", line_no)
         _, tid, src, inp, pop, push, dst = tokens
+        _check_name(tid, "transition id", line_no)
         if tid in seen_ids:
             raise PdaFormatError(f"duplicate id: {tid}", line_no)
         seen_ids.add(tid)
@@ -116,7 +138,9 @@ def parse_pda(text: str) -> Pda:
             )
         )
 
-    pda = Pda(
+    # Every name was checked where it was declared and every reference
+    # resolved, so the result validates.
+    return Pda(
         states=tuple(states),
         input_alphabet=tuple(inputs),
         stack_alphabet=tuple(stacks),
@@ -124,10 +148,6 @@ def parse_pda(text: str) -> Pda:
         initial=initial,
         finals=frozenset(finals),
     )
-    diags = validate(pda)
-    if diags:
-        raise PdaFormatError(diags[0], 1 + text.count("\n"))
-    return pda
 
 
 def print_pda(pda: Pda) -> str:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pdaprune import M0, Pda, PdaTransition, is_final, random_pda, run_forward
+from pdaprune import M0, Pda, PdaTransition, is_final, make_grammar, random_pda, run_forward
 
 from .reference import bfs
 
@@ -54,6 +54,22 @@ def corpus(count, start_seed=0, max_states=6, max_trans=12, gamma_size=3):
             )
         )
     return out
+
+
+def random_grammar(seed, max_nonterminals=6, max_productions=12):
+    """Seeded grammar over terminals a, b, c; any mix of useful and useless."""
+    rng = random.Random(seed)
+    nts = [f"N{i}" for i in range(rng.randint(1, max_nonterminals))]
+    terminals = ["a", "b", "c"]
+    productions = []
+    for _ in range(rng.randint(1, max_productions)):
+        lhs = rng.choice(nts)
+        rhs = tuple(
+            rng.choice(nts) if rng.random() < 0.4 else rng.choice(terminals)
+            for _ in range(rng.randint(0, 3))
+        )
+        productions.append((lhs, rhs))
+    return make_grammar(productions, start=nts[0])
 
 
 def shuffled_transitions(pda, seed):

@@ -18,18 +18,23 @@ def moves(pda, max_stack=None):
     The returned function maps ``cfg`` to the pairs (transition, successor
     configuration) whose successor stack holds at most ``max_stack``
     symbols (any number when ``max_stack`` is None).  Input symbols are
-    disregarded.
+    disregarded.  Each configuration's moves are computed once and the same
+    list is returned on every later call (callers must not change it): a
+    search over (configuration, input read) pairs asks for them many times.
     """
     by_source = pda.by_source()
+    memo = {}
 
     def from_cfg(cfg):
-        out = []
-        for t in by_source.get(cfg.state, ()):
-            k = len(t.pop)
-            if cfg.stack[:k] == t.pop:
-                stack = t.push + cfg.stack[k:]
-                if max_stack is None or len(stack) <= max_stack:
-                    out.append((t, Configuration(t.target, stack)))
+        out = memo.get(cfg)
+        if out is None:
+            out = memo[cfg] = []
+            for t in by_source.get(cfg.state, ()):
+                k = len(t.pop)
+                if cfg.stack[:k] == t.pop:
+                    stack = t.push + cfg.stack[k:]
+                    if max_stack is None or len(stack) <= max_stack:
+                        out.append((t, Configuration(t.target, stack)))
         return out
 
     return from_cfg

@@ -19,7 +19,6 @@ from pdaprune import (
     exact_useless,
     cfg_to_pda,
     grammar_useless,
-    make_grammar,
     prune,
     random_pda,
     run_backward,
@@ -28,7 +27,7 @@ from pdaprune import (
 )
 from pdaprune.model import is_final, remove_transitions
 
-from .conftest import corpus, nfa_accepted_configs, shuffled_transitions
+from .conftest import corpus, nfa_accepted_configs, random_grammar, shuffled_transitions
 from .reference import bounded_language, bounded_reachable, nfa_shape_violations
 
 
@@ -203,21 +202,6 @@ def test_criterion_6_idempotence_and_language_preservation(corpus500, pipelines5
         after = bounded_language(pruned, 8, 6, 20)
         assert before == after, seed
     passline(6, "pruning is idempotent and preserves the bounded language, 500 pdas")
-
-
-def random_grammar(seed, max_nonterminals=6, max_productions=12):
-    rng = random.Random(seed)
-    nts = [f"N{i}" for i in range(rng.randint(1, max_nonterminals))]
-    terminals = ["a", "b", "c"]
-    productions = []
-    for _ in range(rng.randint(1, max_productions)):
-        lhs = rng.choice(nts)
-        rhs = tuple(
-            rng.choice(nts) if rng.random() < 0.4 else rng.choice(terminals)
-            for _ in range(rng.randint(0, 3))
-        )
-        productions.append((lhs, rhs))
-    return make_grammar(productions, start=nts[0])
 
 
 def test_criterion_7_grammar_cross_check():

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -145,6 +148,37 @@ def test_fixpoint_on_corpus_and_grammars():
         assert_fixpoint(aug.p0, run_forward(aug.p0, aug.bottom_marker))
 
 
+def test_each_eps_edge_emitted_about_once(monkeypatch):
+    """Only new S-set members get edges: a deep push that the drain pops one
+    symbol per pass must not re-add the old edges on every pass."""
+    rng = random.Random(200)
+    push = tuple(rng.choice("ab") for _ in range(200))
+    pda = make_pda(
+        ["q0", "q1", "qu", "qd"],
+        [],
+        ["a", "b"],
+        [
+            ("push", "q0", None, "", push, "q1"),
+            ("stray", "qu", None, "", "", "q1"),
+            ("stall", "q0", None, "", "", "qd"),
+        ],
+        "q0",
+        ["q1"],
+    )
+    calls = []
+    add_eps_edge = NfaSummary.add_eps_edge
+
+    def counted(nfa, x, y):
+        calls.append((x, y))
+        return add_eps_edge(nfa, x, y)
+
+    monkeypatch.setattr(NfaSummary, "add_eps_edge", counted)
+    aug = augment(pda)
+    fwd = run_forward(aug.p0, aug.bottom_marker)
+    assert fwd.passes > 100
+    assert len(calls) <= 2 * len(fwd.nfa.eps_edges)
+
+
 def test_compute_s_worked_values(golden):
     nfa = golden.nfa
     assert compute_s(nfa, "q3", ("b0",)) == {M0}
@@ -256,17 +290,30 @@ def test_closure_matches_scratch_on_golden(golden):
     )
 )
 def test_closure_incremental_equals_scratch(edges):
+    assert_closure_equals_scratch(range(8), edges)
+
+
+# Cycles 0-1 and 1-2-3 sharing state 1, a self-loop on 3, a tail 2 -> 4.
+CYCLIC_EDGES = ((0, 1), (1, 0), (1, 2), (2, 3), (3, 1), (3, 3), (2, 4))
+
+
+def test_closure_incremental_equals_scratch_on_cycles():
+    """``add_edge`` skips a row that already holds the new edge's endpoint;
+    on a cycle that includes the rows of the endpoints themselves."""
+    for order in itertools.permutations(CYCLIC_EDGES):
+        assert_closure_equals_scratch(range(5), order)
+
+
+def assert_closure_equals_scratch(nodes, edges):
     nfa = NfaSummary()
     closure = EpsClosure()
-    nodes = list(range(8))
+    nfa.states.update(nodes)
+    for x, y in edges:
+        if nfa.add_eps_edge(x, y):
+            closure.add_edge(x, y)
     for s in nodes:
-        nfa.states.add(s)
-    for i, j in edges:
-        if nfa.add_eps_edge(nodes[i], nodes[j]):
-            closure.add_edge(nodes[i], nodes[j])
-    for s in nodes:
-        assert closure.backward(s) == scratch_backward(nfa, s)
-        assert closure.forward(s) == scratch_forward(nfa, s)
+        assert closure.backward(s) == scratch_backward(nfa, s), (edges, s)
+        assert closure.forward(s) == scratch_forward(nfa, s), (edges, s)
 
 
 def test_compute_s_equals_bruteforce_on_golden(golden, example1_p0_restricted):

@@ -4,14 +4,16 @@ from hypothesis import strategies as st
 
 from pdaprune import (
     PdaFormatError,
+    cfg_to_pda,
     parse_grammar,
     parse_pda,
     print_grammar,
     print_pda,
     random_pda,
+    validate,
 )
 
-from .conftest import EXAMPLE1_DOC
+from .conftest import EXAMPLE1_DOC, corpus, random_grammar
 
 
 def test_parse_example1_document(example1):
@@ -67,6 +69,45 @@ def test_parse_error_line_numbers():
     with pytest.raises(PdaFormatError) as err:
         parse_pda(doc)
     assert err.value.line == 3
+
+
+# A seven-line document; each case breaks one name on one line.
+NAMES_DOC = """\
+state q0 initial
+state q1 final
+input x
+stack a b
+# comment
+trans t0 q0 x a b q1
+trans t1 q1 - - - q0
+"""
+
+
+@pytest.mark.parametrize(
+    "old,new,line,message",
+    [
+        ("state q0 initial", "state q,0 initial", 1, "invalid state name: 'q,0'"),
+        ("input x", "input x,y", 3, "invalid input symbol name: 'x,y'"),
+        ("input x", "input -", 3, "invalid input symbol name: '-'"),
+        ("stack a b", "stack a b,c", 4, "invalid stack symbol name: 'b,c'"),
+        ("stack a b", "stack a -", 4, "invalid stack symbol name: '-'"),
+        ("trans t1", "trans t,1", 7, "invalid transition id: 't,1'"),
+    ],
+)
+def test_bad_name_reported_at_its_line(old, new, line, message):
+    assert validate(parse_pda(NAMES_DOC)) == []
+    with pytest.raises(PdaFormatError) as err:
+        parse_pda(NAMES_DOC.replace(old, new))
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_parsed_documents_validate():
+    """parse_pda checks every name where it is declared, so what it returns
+    needs no further validation."""
+    pdas = corpus(200) + [cfg_to_pda(random_grammar(seed)) for seed in range(100)]
+    for pda in pdas:
+        assert validate(parse_pda(print_pda(pda))) == []
 
 
 @settings(max_examples=40, deadline=None)
