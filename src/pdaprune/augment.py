@@ -38,7 +38,9 @@ def augment(pda: Pda) -> AugmentedPda:
     drain = _fresh("__qe", taken_states)
     final = _fresh("__qf", taken_states | {drain})
 
-    taken_ids = {t.id for t in pda.transitions}
+    # Only an input id with the synthetic prefix can clash with a synthetic
+    # id, so no other id needs to be collected.
+    taken_ids = {t.id for t in pda.transitions if t.id.startswith(SYNTHETIC_ID_PREFIX)}
     synthetic: list[PdaTransition] = []
 
     def synth(source: str, pop: StackString, target: str) -> None:

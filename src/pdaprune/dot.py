@@ -8,16 +8,21 @@ rendered as "eps".
 from .model import M0, NfaSummary, Pda, State, is_final
 
 
+# The helper node behind the initial arrow.  Its ID holds a space, which
+# no state name can, so it never merges with a state's node.
+_START = '"initial arrow"'
+
+
 def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def pda_to_dot(pda: Pda) -> str:
-    lines = ["digraph pda {", "  rankdir=LR;", '  __start [shape=point, label=""];']
+    lines = ["digraph pda {", "  rankdir=LR;", f'  {_START} [shape=point, label=""];']
     for q in pda.states:
         shape = "doublecircle" if q in pda.finals else "circle"
         lines.append(f"  {_quote(q)} [shape={shape}];")
-    lines.append(f"  __start -> {_quote(pda.initial)};")
+    lines.append(f"  {_START} -> {_quote(pda.initial)};")
     for t in pda.transitions:
         inp = t.input if t.input is not None else "eps"
         pop = ",".join(t.pop) or "eps"
@@ -42,11 +47,11 @@ def _label(s: State) -> str:
 def nfa_to_dot(nfa: NfaSummary) -> str:
     states = sorted(nfa.states, key=_order)
     names = {s: f"s{i}" for i, s in enumerate(states)}
-    lines = ["digraph nfa {", "  rankdir=LR;", '  __start [shape=point, label=""];']
+    lines = ["digraph nfa {", "  rankdir=LR;", f'  {_START} [shape=point, label=""];']
     for s in states:
         shape = "doublecircle" if is_final(s) else "circle"
         lines.append(f"  {names[s]} [shape={shape}, label={_quote(_label(s))}];")
-    lines.append(f"  __start -> {names[M0]};")
+    lines.append(f"  {_START} -> {names[M0]};")
     for src, label, dst in sorted(
         nfa.gamma_edges(), key=lambda e: (_order(e[0]), e[1], _order(e[2]))
     ):

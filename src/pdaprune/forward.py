@@ -18,11 +18,18 @@ Only members new since the group's previous evaluation get edges (the
 "new members only" half of post* saturation).  S-sets only grow as the NFA
 grows, and the first non-empty evaluation gives every transition of the
 group its head, so each earlier member already has an edge to every head.
+Because S-sets only grow, an evaluation whose S-set has its previous size
+added nothing, and the group is done for the pass without comparing the
+sets.  Most evaluations end there; the check skips the work after an
+evaluation, never the evaluation itself.
 
 ``pop_levels`` is the one pop-path walk: ``compute_s`` reads S(q, pop) off
 its last level, and the backward path scans read their levels from it too.
 It hops gamma edges through the NFA's per-label index, intersecting a level
-with the targets of that label's edges.
+with the targets of that label's edges.  For a one-symbol pop the only
+level is q's epsilon-closure row, which ``compute_s`` intersects where it
+stands instead of copying it.  Closure rows, like the S-sets in
+``ForwardResult.ssets``, are read and never written by their readers.
 
 The epsilon-closure index is the first of the two documented
 optimizations: it replaces per-query backward scans over epsilon edges.
@@ -64,18 +71,23 @@ class EpsClosure:
         return self.fro.setdefault(s, {s})
 
     def add_edge(self, x: State, y: State) -> None:
-        if y in self.forward(x):
+        to, fro = self.to, self.fro
+        if y in fro.setdefault(x, {x}):
             return
-        sources = self.backward(x)
-        targets = self.forward(y)
-        # On a cycle the skip covers to[x] and fro[y] themselves, so the
-        # two rows being iterated are never the ones being updated.
+        sources = to.setdefault(x, {x})
+        targets = fro.setdefault(y, {y})
+        to.setdefault(y, {y})
+        # The endpoints' rows now exist in both maps.  Any other member of
+        # the two rows below joined it in an earlier call, as a member of a
+        # row that call iterated, so that call gave it its mirror row.  On a
+        # cycle the skip covers to[x] and fro[y] themselves, so the two rows
+        # being iterated are never the ones being updated.
         for s in targets:
-            row = self.backward(s)
+            row = to[s]
             if x not in row:
                 row.update(sources)
         for p in sources:
-            row = self.forward(p)
+            row = fro[p]
             if y not in row:
                 row.update(targets)
 
@@ -136,8 +148,12 @@ def compute_s(
     into = nfa.gamma_into.get(sigma[-1])
     if into is None:
         return set()
-    level = pop_levels(nfa, q, sigma[:-1], closure)[-1]
-    return {into[t] for t in level & into.keys()}
+    if len(sigma) == 1 and closure is not None:
+        # The one level is q's closure row, read in place.
+        level = closure.to.get(q, (q,))
+    else:
+        level = pop_levels(nfa, q, sigma[:-1], closure)[-1]
+    return {into[t] for t in into.keys() & level}
 
 
 def establish_path(nfa: NfaSummary, labels: tuple[Symbol, ...], z: State) -> State:
@@ -165,9 +181,16 @@ def establish_path(nfa: NfaSummary, labels: tuple[Symbol, ...], z: State) -> Sta
 
 @dataclass
 class ForwardResult:
+    """The saturated NFA and what the backward procedure reads off it.
+
+    ``ssets`` maps each (source, pop) group to its exact final S-set.  The
+    sets are the ones saturation built, not copies: read-only, like the
+    NFA and ``closure``.
+    """
+
     nfa: NfaSummary
     u1: frozenset[str]
-    ssets: dict[tuple[str, StackString], frozenset[State]]
+    ssets: dict[tuple[str, StackString], set[State]]
     path_head: dict[str, State]
     passes: int
     closure: EpsClosure = field(repr=False)
@@ -204,9 +227,10 @@ def run_forward(p0: Pda, bottom: Symbol, *, use_closure_index: bool = True) -> F
                 continue
             previous = ssets.get((q, pop), ())
             s_set = ssets[(q, pop)] = compute_s(nfa, q, pop, index)
-            fresh = s_set.difference(previous)
-            if not fresh:
+            # S-sets only grow, so an S-set of the old size is the old one.
+            if len(s_set) == len(previous):
                 continue
+            fresh = s_set.difference(previous)
             for t in group:
                 head = path_head.get(t.id)
                 if head is None:
@@ -223,7 +247,7 @@ def run_forward(p0: Pda, bottom: Symbol, *, use_closure_index: bool = True) -> F
     return ForwardResult(
         nfa=nfa,
         u1=frozenset(t.id for t in p0.transitions if t.id not in path_head),
-        ssets={key: frozenset(s) for key, s in ssets.items()},
+        ssets=ssets,
         path_head=path_head,
         passes=passes,
         closure=closure,

@@ -9,7 +9,8 @@ inside the PDA semantics.
 """
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import chain
 from typing import Hashable, Iterator, NamedTuple
 
 Symbol = str
@@ -20,13 +21,15 @@ EPSILON: StackString = ()
 # Symbol, state and transition-id names: non-empty, no whitespace, no comma,
 # no '#' (comment character of the text format).
 _NAME_RE = re.compile(r"^[^\s,#]+$")
+# A character no name may hold.
+_BAD_NAME_CHAR = re.compile(r"[\s,#]")
 
 
 def is_valid_name(name: str) -> bool:
     return bool(name) and _NAME_RE.match(name) is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PdaTransition:
     """One transition; ``input`` is None for an epsilon input."""
 
@@ -76,7 +79,19 @@ class Configuration(NamedTuple):
 
 
 def validate(pda: Pda) -> list[str]:
-    """Check all Pda invariants; return one diagnostic per violation."""
+    """Check all Pda invariants; return one diagnostic per violation.
+
+    The rules: states, input symbols, stack symbols and transition ids are
+    names (non-empty, no whitespace, ``,`` or ``#``), and no symbol is
+    ``-``; declarations and ids are unique; the initial and final states,
+    every source and target are declared states; every input symbol and
+    every popped or pushed symbol is declared.  A valid automaton costs
+    whole-set comparisons and one search over its names
+    (``_obviously_valid``); only an invalid one runs the per-item loop
+    below, which words the diagnostics in its order.
+    """
+    if _obviously_valid(pda):
+        return []
     diags: list[str] = []
     states = set(pda.states)
     if len(states) != len(pda.states):
@@ -120,9 +135,42 @@ def validate(pda: Pda) -> list[str]:
     return diags
 
 
+def _obviously_valid(pda: Pda) -> bool:
+    """Whether ``pda`` breaks none of ``validate``'s rules.  Concatenating
+    the names adds no character, so one search finds any bad one."""
+    states = set(pda.states)
+    sigma = set(pda.input_alphabet)
+    gamma = set(pda.stack_alphabet)
+    ts = pda.transitions
+    names = (*pda.states, *pda.input_alphabet, *pda.stack_alphabet, *(t.id for t in ts))
+    return (
+        len(states) == len(pda.states)
+        and len(sigma) == len(pda.input_alphabet)
+        and len(gamma) == len(pda.stack_alphabet)
+        and "-" not in sigma
+        and "-" not in gamma
+        and pda.initial in states
+        and states.issuperset(pda.finals)
+        and len({t.id for t in ts}) == len(ts)
+        and states.issuperset([t.source for t in ts])
+        and states.issuperset([t.target for t in ts])
+        and sigma.issuperset([t.input for t in ts if t.input is not None])
+        and gamma.issuperset(chain.from_iterable([t.pop for t in ts] + [t.push for t in ts]))
+        and all(names)
+        and _BAD_NAME_CHAR.search("".join(names)) is None
+    )
+
+
 def remove_transitions(pda: Pda, ids: set[str]) -> Pda:
     """Copy of ``pda`` without the transitions named in ``ids``."""
-    return replace(pda, transitions=tuple(t for t in pda.transitions if t.id not in ids))
+    return Pda(
+        states=pda.states,
+        input_alphabet=pda.input_alphabet,
+        stack_alphabet=pda.stack_alphabet,
+        transitions=tuple(t for t in pda.transitions if t.id not in ids),
+        initial=pda.initial,
+        finals=pda.finals,
+    )
 
 
 # ---------------------------------------------------------------------------

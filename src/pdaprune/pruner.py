@@ -92,14 +92,14 @@ def prune(pda: Pda, report: AnalysisReport, *, drop_orphan_states: bool = False)
     ``drop_orphan_states=True`` to also drop states no remaining transition
     touches (the initial state always stays).
     """
-    ids = frozenset(t.id for t in pda.transitions)
-    if (
-        report.unreachable | report.dead | report.useful != ids
-        or report.unreachable & report.dead
-        or report.useful & (report.unreachable | report.dead)
+    useless = report.useless
+    parts = useless | report.useful
+    # Three sets partition ``parts`` exactly when their sizes add up to its size.
+    if len(parts) != len(report.unreachable) + len(report.dead) + len(report.useful) or (
+        parts != {t.id for t in pda.transitions}
     ):
         raise ValueError("report does not partition this pda's transitions")
-    pruned = remove_transitions(pda, set(report.useless))
+    pruned = remove_transitions(pda, useless)
     if drop_orphan_states:
         touched = {pda.initial}
         for t in pruned.transitions:

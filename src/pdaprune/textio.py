@@ -24,7 +24,6 @@ from .model import (  # noqa: F401
     Pda,
     PdaTransition,
     StackString,
-    is_valid_name,
     make_grammar,
     validate,
 )
@@ -38,9 +37,15 @@ class PdaFormatError(ValueError):
 
 def _check_name(name: str, kind: str, line_no: int) -> None:
     """Raise ``validate``'s diagnostic at ``line_no`` unless ``name`` is a
-    legal ``kind``."""
+    legal ``kind``.
+
+    ``name`` is a token of a comment-stripped ``str.split()`` line, so it
+    is non-empty and holds no ``#`` and no whitespace (``str.split`` and
+    the name rule's ``\\s`` agree on every code point); only the comma and
+    ``-`` rules are left to check.
+    """
     # '-' is the text format's empty string, so it cannot name a symbol.
-    if not is_valid_name(name) or (name == "-" and "symbol" in kind):
+    if "," in name or (name == "-" and "symbol" in kind):
         raise PdaFormatError(f"invalid {kind}: {name!r}", line_no)
 
 
@@ -48,11 +53,13 @@ def _split_list(token: str, declared: set[str], line_no: int, role: str) -> Stac
     if token == "-":
         return ()
     symbols = tuple(token.split(","))
-    for s in symbols:
-        if not s:
-            raise PdaFormatError(f"empty symbol in {role} list", line_no)
-        if s not in declared:
-            raise PdaFormatError(f"unknown symbol: {role} {s!r}", line_no)
+    # Declared symbols are non-empty, so this also rejects an empty one.
+    if not declared.issuperset(symbols):
+        for s in symbols:
+            if not s:
+                raise PdaFormatError(f"empty symbol in {role} list", line_no)
+            if s not in declared:
+                raise PdaFormatError(f"unknown symbol: {role} {s!r}", line_no)
     return symbols
 
 

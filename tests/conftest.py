@@ -40,6 +40,15 @@ trans t7 q2 - d,b - q3
 """
 
 
+# Three small grammars: balanced parentheses, arithmetic expressions and
+# one with unproductive and unreachable nonterminals.
+GRAMMAR_DOCS = (
+    "S -> ( S ) S |\n",
+    "E -> E + T | T\nT -> T * F | F\nF -> ( E ) | x\n",
+    "S -> a S b | A | B\nA -> a A | a\nB -> B b\nC -> c S\n",
+)
+
+
 def corpus(count, start_seed=0, max_states=6, max_trans=12, gamma_size=3):
     """Deterministic mixed-size corpus; sizes cycle within the given caps."""
     out = []

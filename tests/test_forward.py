@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pdaprune.forward as forward_module
 from pdaprune import (
     M0,
     EpsClosure,
@@ -19,7 +20,7 @@ from pdaprune import (
     run_forward,
 )
 
-from .conftest import corpus, make_pda
+from .conftest import GRAMMAR_DOCS, corpus, make_pda
 from .reference import (
     naive_s,
     nfa_shape_violations,
@@ -129,20 +130,13 @@ def assert_fixpoint(p0, fwd):
             assert (x, head) in nfa.eps_edges, t
 
 
-FIXPOINT_GRAMMARS = (
-    "S -> ( S ) S |\n",
-    "E -> E + T | T\nT -> T * F | F\nF -> ( E ) | x\n",
-    "S -> a S b | A | B\nA -> a A | a\nB -> B b\nC -> c S\n",
-)
-
-
 def test_golden_fixpoint(golden, example1_p0_restricted):
     assert_fixpoint(example1_p0_restricted, golden)
 
 
 def test_fixpoint_on_corpus_and_grammars():
     """Grouped evaluation of the (source, pop) S-sets leaves a true fixpoint."""
-    pdas = corpus(60) + [cfg_to_pda(parse_grammar(g)) for g in FIXPOINT_GRAMMARS]
+    pdas = corpus(60) + [cfg_to_pda(parse_grammar(g)) for g in GRAMMAR_DOCS]
     for pda in pdas:
         aug = augment(pda)
         assert_fixpoint(aug.p0, run_forward(aug.p0, aug.bottom_marker))
@@ -177,6 +171,30 @@ def test_each_eps_edge_emitted_about_once(monkeypatch):
     fwd = run_forward(aug.p0, aug.bottom_marker)
     assert fwd.passes > 100
     assert len(calls) <= 2 * len(fwd.nfa.eps_edges)
+
+
+@pytest.mark.parametrize(
+    "name,calls,passes",
+    [("example1", 20, 2), ("expressions", 84, 4)],
+)
+def test_evaluation_schedule_is_pinned(monkeypatch, example1, name, calls, passes):
+    """Every pass evaluates every (source, pop) group once; the S-set size
+    check skips only the work after an evaluation, never an evaluation.
+    A worklist that evaluates less must update these pins on purpose."""
+    pda = example1 if name == "example1" else cfg_to_pda(parse_grammar(GRAMMAR_DOCS[1]))
+    evaluated = []
+    original = forward_module.compute_s
+
+    def counted(nfa, q, sigma, closure=None):
+        evaluated.append((q, sigma))
+        return original(nfa, q, sigma, closure)
+
+    monkeypatch.setattr(forward_module, "compute_s", counted)
+    aug = augment(pda)
+    fwd = run_forward(aug.p0, aug.bottom_marker)
+    groups = {(t.source, t.pop) for t in aug.p0.transitions}
+    assert (len(evaluated), fwd.passes) == (calls, passes)
+    assert len(evaluated) == fwd.passes * len(groups)
 
 
 def test_compute_s_worked_values(golden):

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pdaprune import M0, Configuration, NfaSummary, validate
-from pdaprune.model import NfaShapeError, is_valid_name, remove_transitions
+import pdaprune.builders as builders_module
+from pdaprune import M0, Configuration, NfaSummary, cfg_to_pda, make_grammar, random_pda, validate
+from pdaprune.model import NfaShapeError, Pda, is_valid_name, remove_transitions
 
 from .conftest import make_pda
 from .reference import nfa_shape_violations, step
@@ -59,6 +60,103 @@ def test_validate_bad_names():
         "invalid input symbol name: '-'",
         "invalid stack symbol name: '-'",
     ]
+
+
+# One valid automaton; each case below breaks one rule of ``validate``.
+VALID = dict(
+    states=["q0", "q1"],
+    inputs=["x"],
+    stack=["a"],
+    transitions=[("t0", "q0", "x", ["a"], ["a"], "q1")],
+    initial="q0",
+    finals=["q1"],
+)
+
+
+def with_transition(**fields):
+    t = dict(zip(("id", "src", "inp", "pop", "push", "dst"), VALID["transitions"][0]))
+    return [tuple((t | fields).values())]
+
+
+@pytest.mark.parametrize(
+    "change,diags",
+    [
+        ({"states": ["q0", "q1", "q0"]}, ["duplicate state declaration"]),
+        ({"inputs": ["x", "x"]}, ["duplicate input symbol declaration"]),
+        ({"stack": ["a", "a"]}, ["duplicate stack symbol declaration"]),
+        ({"states": ["q0", "q1", "q#2"]}, ["invalid state name: 'q#2'"]),
+        ({"inputs": ["x", "y,z"]}, ["invalid input symbol name: 'y,z'"]),
+        ({"stack": ["a", ""]}, ["invalid stack symbol name: ''"]),
+        ({"transitions": with_transition(id="t\t0")}, ["invalid transition id: 't\\t0'"]),
+        ({"inputs": ["x", "-"]}, ["invalid input symbol name: '-'"]),
+        ({"stack": ["a", "-"]}, ["invalid stack symbol name: '-'"]),
+        ({"initial": "q9"}, ["unknown state: initial 'q9'"]),
+        ({"finals": ["q1", "q9"]}, ["unknown state: final 'q9'"]),
+        (
+            {"transitions": VALID["transitions"] + with_transition(src="q1")},
+            ["duplicate id: t0"],
+        ),
+        ({"transitions": with_transition(src="q9")}, ["unknown state: t0 source 'q9'"]),
+        ({"transitions": with_transition(dst="q9")}, ["unknown state: t0 target 'q9'"]),
+        ({"transitions": with_transition(inp="y")}, ["symbol outside alphabet: t0 input 'y'"]),
+        ({"transitions": with_transition(pop=["b"])}, ["symbol outside alphabet: t0 pop 'b'"]),
+        ({"transitions": with_transition(push=["b"])}, ["symbol outside alphabet: t0 push 'b'"]),
+    ],
+)
+def test_validate_diagnostics_per_rule(change, diags):
+    assert validate(make_pda(**VALID)) == []
+    assert validate(make_pda(**(VALID | change))) == diags
+
+
+def test_validate_diagnostics_all_rules_at_once():
+    bad = make_pda(
+        states=["q0", "q0", "q 1"],
+        inputs=["x", "x", "y,z", "-"],
+        stack=["a", "a", "", "-"],
+        transitions=[
+            ("t 0", "q9", "w", ["b"], ["c"], "q8"),
+            ("t 0", "q0", None, [], [], "q0"),
+        ],
+        initial="q7",
+        finals=["q6"],
+    )
+    assert validate(bad) == [
+        "duplicate state declaration",
+        "invalid state name: 'q 1'",
+        "duplicate input symbol declaration",
+        "invalid input symbol name: 'y,z'",
+        "invalid input symbol name: '-'",
+        "duplicate stack symbol declaration",
+        "invalid stack symbol name: ''",
+        "invalid stack symbol name: '-'",
+        "unknown state: initial 'q7'",
+        "unknown state: final 'q6'",
+        "invalid transition id: 't 0'",
+        "unknown state: t 0 source 'q9'",
+        "unknown state: t 0 target 'q8'",
+        "symbol outside alphabet: t 0 input 'w'",
+        "symbol outside alphabet: t 0 pop 'b'",
+        "symbol outside alphabet: t 0 push 'c'",
+        "invalid transition id: 't 0'",
+        "duplicate id: t 0",
+    ]
+
+
+def test_builders_reject_their_own_invalid_builds(monkeypatch):
+    with pytest.raises(ValueError) as err:
+        cfg_to_pda(make_grammar([("S", ("a b",))]))
+    assert str(err.value) == (
+        "cfg_to_pda built an invalid pda: invalid input symbol name: 'a b'; "
+        "invalid stack symbol name: 'a b'; invalid transition id: 'match_a b'"
+    )
+
+    def misplaced_initial(**fields):
+        return Pda(**(fields | {"initial": "nowhere"}))
+
+    monkeypatch.setattr(builders_module, "Pda", misplaced_initial)
+    with pytest.raises(ValueError) as err:
+        random_pda(0)
+    assert str(err.value) == "random_pda built an invalid pda: unknown state: initial 'nowhere'"
 
 
 @pytest.mark.parametrize(

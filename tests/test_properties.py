@@ -1,11 +1,15 @@
 """Cross-cutting invariants checked over seeded random corpora."""
 
+import random
+
 from pdaprune import (
     Configuration,
     analyze,
     augment,
     bounded_useful,
+    cfg_to_pda,
     compute_s,
+    parse_grammar,
     prune,
     random_pda,
     run_backward,
@@ -13,7 +17,7 @@ from pdaprune import (
 )
 from pdaprune.model import remove_transitions
 
-from .conftest import corpus, nfa_accepted_configs, shuffled_transitions
+from .conftest import GRAMMAR_DOCS, corpus, nfa_accepted_configs, shuffled_transitions
 from .reference import (
     bounded_fired,
     bounded_language,
@@ -83,8 +87,6 @@ def test_forward_order_independence():
 
 
 def test_backward_worklist_order_independence():
-    import random
-
     for i, pda in enumerate(corpus(30)):
         aug, fwd = forward_of(pda)
         p1 = remove_transitions(aug.p0, set(fwd.u1))
@@ -94,6 +96,30 @@ def test_backward_worklist_order_independence():
         rnd = run_backward(fwd, p1, pick=lambda pending: rng.randrange(len(pending)))
         assert default.u2 == fifo.u2 == rnd.u2, pda
         assert default.iterations == fifo.iterations == rnd.iterations, pda
+
+
+def test_readers_leave_closure_rows_and_ssets_untouched():
+    """compute_s reads closure rows in place and ssets are the sets forward
+    built, so no later reader may change either."""
+    pdas = corpus(60) + [cfg_to_pda(parse_grammar(g)) for g in GRAMMAR_DOCS]
+    for i, pda in enumerate(pdas):
+        aug, fwd = forward_of(pda)
+        closure = fwd.closure
+
+        def snapshot():
+            return (
+                {s: frozenset(row) for s, row in closure.to.items()},
+                {s: frozenset(row) for s, row in closure.fro.items()},
+                {key: frozenset(s) for key, s in fwd.ssets.items()},
+            )
+
+        before = snapshot()
+        for q, pop in fwd.ssets:
+            compute_s(fwd.nfa, q, pop, closure)
+        rng = random.Random(i)
+        for pick in (None, lambda pending: 0, lambda pending: rng.randrange(len(pending))):
+            run_backward(fwd, aug.p0, pick=pick)
+        assert snapshot() == before, pda
 
 
 def test_backward_on_p0_equals_backward_on_p1():
@@ -187,8 +213,6 @@ def test_backward_engine_matches_reference(golden, example1_p0_restricted):
 def test_backward_engine_matches_reference_on_dense_instance():
     """A dense machine whose backward run leaves some epsilon edges unqueued,
     so the live-source bookkeeping must skip sources without losing edges."""
-    import random
-
     pda = random_pda(2025, max_states=19, max_trans=120, gamma_size=4, final_prob=0.1)
     aug, fwd = forward_of(pda)
     p1 = remove_transitions(aug.p0, set(fwd.u1))

@@ -102,6 +102,37 @@ def test_bad_name_reported_at_its_line(old, new, line, message):
     assert str(err.value) == f"line {line}: {message}"
 
 
+# Every code point str.split() splits on; the name rule's \s class and the
+# parser's str.split() agree on all of them.
+WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+# One document; each role's token gets a character inserted in its middle.
+AGREEMENT_DOC = """\
+state q0 initial
+state {state} final
+input {input}
+stack g0 {stack}
+trans {id} q0 {input} g0,{stack} {stack} {state}
+"""
+AGREEMENT_TOKENS = {"state": "q1", "input": "x1", "stack": "g1", "id": "t0"}
+
+
+@pytest.mark.parametrize("role", sorted(AGREEMENT_TOKENS))
+def test_parse_and_validate_agree_on_name_characters(role):
+    """A token of a parsed line never holds whitespace or '#', so the parser
+    checks only the ',' and '-' rules; what it accepts must validate."""
+    assert len(WHITESPACE) == 29
+    assert validate(parse_pda(AGREEMENT_DOC.format(**AGREEMENT_TOKENS))) == []
+    for ch in WHITESPACE + [",", "#", "-"]:
+        token = AGREEMENT_TOKENS[role]
+        doc = AGREEMENT_DOC.format(**(AGREEMENT_TOKENS | {role: token[0] + ch + token[1:]}))
+        try:
+            pda = parse_pda(doc)
+        except PdaFormatError:
+            continue
+        assert validate(pda) == [], (role, ch)
+
+
 def test_parsed_documents_validate():
     """parse_pda checks every name where it is declared, so what it returns
     needs no further validation."""
