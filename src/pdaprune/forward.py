@@ -51,7 +51,8 @@ class EpsClosure:
     ``to[s]`` holds every state with an epsilon-only path to ``s`` (including
     ``s``); ``fro[s]`` is the forward mirror, needed to keep ``to`` exact as
     edges arrive one by one.  Entries materialize lazily so freshly created
-    NFA states need no registration call.
+    NFA states need no registration call; a state without an entry has
+    only itself in either row.
 
     A new edge x -> y unions ``to[x]`` into ``to[s]`` for every s in
     ``fro[y]``, and ``fro[y]`` into ``fro[p]`` for every p in ``to[x]``.
@@ -63,12 +64,6 @@ class EpsClosure:
     def __init__(self) -> None:
         self.to: dict[State, set[State]] = {}
         self.fro: dict[State, set[State]] = {}
-
-    def backward(self, s: State) -> set[State]:
-        return self.to.setdefault(s, {s})
-
-    def forward(self, s: State) -> set[State]:
-        return self.fro.setdefault(s, {s})
 
     def add_edge(self, x: State, y: State) -> None:
         to, fro = self.to, self.fro

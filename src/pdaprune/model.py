@@ -18,15 +18,13 @@ StackString = tuple[Symbol, ...]
 
 EPSILON: StackString = ()
 
-# Symbol, state and transition-id names: non-empty, no whitespace, no comma,
-# no '#' (comment character of the text format).
-_NAME_RE = re.compile(r"^[^\s,#]+$")
-# A character no name may hold.
-_BAD_NAME_CHAR = re.compile(r"[\s,#]")
+# The one rule for state, symbol and transition-id names: non-empty, no
+# whitespace, no comma, no '#' (comment character of the text format).
+_NAME = re.compile(r"[^\s,#]+")
 
 
 def is_valid_name(name: str) -> bool:
-    return bool(name) and _NAME_RE.match(name) is not None
+    return _NAME.fullmatch(name) is not None
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,39 +80,56 @@ def validate(pda: Pda) -> list[str]:
     """Check all Pda invariants; return one diagnostic per violation.
 
     The rules: states, input symbols, stack symbols and transition ids are
-    names (non-empty, no whitespace, ``,`` or ``#``), and no symbol is
-    ``-``; declarations and ids are unique; the initial and final states,
-    every source and target are declared states; every input symbol and
-    every popped or pushed symbol is declared.  A valid automaton costs
-    whole-set comparisons and one search over its names
-    (``_obviously_valid``); only an invalid one runs the per-item loop
-    below, which words the diagnostics in its order.
+    names (``is_valid_name``), and no symbol is ``-``; declarations and ids
+    are unique; the initial and final states, every source and target are
+    declared states; every input symbol and every popped or pushed symbol
+    is declared.  Each rule is decided on whole sets, the four name rules
+    by one match over every name; only a rule that fails walks its items,
+    to word one diagnostic per offending item.
     """
-    if _obviously_valid(pda):
-        return []
     diags: list[str] = []
+    ts = pda.transitions
+    ids = {t.id for t in ts}
+    names = [*pda.states, *pda.input_alphabet, *pda.stack_alphabet, *ids]
+    # The rule bars characters, not sequences, so non-empty strings are all
+    # names exactly when their concatenation is one.  Without any names this
+    # is False, which costs only walks over nothing.
+    names_ok = all(names) and is_valid_name("".join(names))
     states = set(pda.states)
     if len(states) != len(pda.states):
         diags.append("duplicate state declaration")
-    for q in pda.states:
-        if not is_valid_name(q):
-            diags.append(f"invalid state name: {q!r}")
-    for role, alpha in (("input", pda.input_alphabet), ("stack", pda.stack_alphabet)):
-        if len(set(alpha)) != len(alpha):
-            diags.append(f"duplicate {role} symbol declaration")
-        for a in alpha:
-            # '-' is the text format's empty string, so it cannot name a symbol.
-            if not is_valid_name(a) or a == "-":
-                diags.append(f"invalid {role} symbol name: {a!r}")
-    if pda.initial not in states:
-        diags.append(f"unknown state: initial {pda.initial!r}")
-    for q in pda.finals:
-        if q not in states:
-            diags.append(f"unknown state: final {q!r}")
+    if not names_ok:
+        diags += [f"invalid state name: {q!r}" for q in pda.states if not is_valid_name(q)]
     sigma = set(pda.input_alphabet)
     gamma = set(pda.stack_alphabet)
+    for role, alpha, symbols in (
+        ("input", pda.input_alphabet, sigma),
+        ("stack", pda.stack_alphabet, gamma),
+    ):
+        if len(symbols) != len(alpha):
+            diags.append(f"duplicate {role} symbol declaration")
+        # '-' is the text format's empty string, so it cannot name a symbol.
+        if "-" in symbols or not names_ok:
+            diags += [
+                f"invalid {role} symbol name: {a!r}"
+                for a in alpha
+                if not is_valid_name(a) or a == "-"
+            ]
+    if pda.initial not in states:
+        diags.append(f"unknown state: initial {pda.initial!r}")
+    if not states.issuperset(pda.finals):
+        diags += [f"unknown state: final {q!r}" for q in pda.finals if q not in states]
+    if (
+        names_ok
+        and len(ids) == len(ts)
+        and states.issuperset([t.source for t in ts])
+        and states.issuperset([t.target for t in ts])
+        and sigma.issuperset([t.input for t in ts if t.input is not None])
+        and gamma.issuperset(chain.from_iterable([t.pop for t in ts] + [t.push for t in ts]))
+    ):
+        return diags
     seen_ids: set[str] = set()
-    for t in pda.transitions:
+    for t in ts:
         if not is_valid_name(t.id):
             diags.append(f"invalid transition id: {t.id!r}")
         if t.id in seen_ids:
@@ -133,32 +148,6 @@ def validate(pda: Pda) -> list[str]:
             if a not in gamma:
                 diags.append(f"symbol outside alphabet: {t.id} push {a!r}")
     return diags
-
-
-def _obviously_valid(pda: Pda) -> bool:
-    """Whether ``pda`` breaks none of ``validate``'s rules.  Concatenating
-    the names adds no character, so one search finds any bad one."""
-    states = set(pda.states)
-    sigma = set(pda.input_alphabet)
-    gamma = set(pda.stack_alphabet)
-    ts = pda.transitions
-    names = (*pda.states, *pda.input_alphabet, *pda.stack_alphabet, *(t.id for t in ts))
-    return (
-        len(states) == len(pda.states)
-        and len(sigma) == len(pda.input_alphabet)
-        and len(gamma) == len(pda.stack_alphabet)
-        and "-" not in sigma
-        and "-" not in gamma
-        and pda.initial in states
-        and states.issuperset(pda.finals)
-        and len({t.id for t in ts}) == len(ts)
-        and states.issuperset([t.source for t in ts])
-        and states.issuperset([t.target for t in ts])
-        and sigma.issuperset([t.input for t in ts if t.input is not None])
-        and gamma.issuperset(chain.from_iterable([t.pop for t in ts] + [t.push for t in ts]))
-        and all(names)
-        and _BAD_NAME_CHAR.search("".join(names)) is None
-    )
 
 
 def remove_transitions(pda: Pda, ids: set[str]) -> Pda:

@@ -24,6 +24,7 @@ from .model import (  # noqa: F401
     Pda,
     PdaTransition,
     StackString,
+    is_valid_name,
     make_grammar,
     validate,
 )
@@ -37,15 +38,9 @@ class PdaFormatError(ValueError):
 
 def _check_name(name: str, kind: str, line_no: int) -> None:
     """Raise ``validate``'s diagnostic at ``line_no`` unless ``name`` is a
-    legal ``kind``.
-
-    ``name`` is a token of a comment-stripped ``str.split()`` line, so it
-    is non-empty and holds no ``#`` and no whitespace (``str.split`` and
-    the name rule's ``\\s`` agree on every code point); only the comma and
-    ``-`` rules are left to check.
-    """
+    legal ``kind``."""
     # '-' is the text format's empty string, so it cannot name a symbol.
-    if "," in name or (name == "-" and "symbol" in kind):
+    if not is_valid_name(name) or (name == "-" and "symbol" in kind):
         raise PdaFormatError(f"invalid {kind}: {name!r}", line_no)
 
 
@@ -65,11 +60,12 @@ def _split_list(token: str, declared: set[str], line_no: int, role: str) -> Stac
 
 def parse_pda(text: str) -> Pda:
     """Parse a PDA document; raises PdaFormatError with a line number."""
-    states: list[str] = []
+    # Dicts as ordered sets: declaration order, and constant-time lookups.
+    states: dict[str, None] = {}
     initial: str | None = None
     finals: set[str] = set()
-    inputs: list[str] = []
-    stacks: list[str] = []
+    inputs: dict[str, None] = {}
+    stacks: dict[str, None] = {}
     trans_lines: list[tuple[int, list[str]]] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -85,7 +81,7 @@ def parse_pda(text: str) -> Pda:
             _check_name(name, "state name", line_no)
             if name in states:
                 raise PdaFormatError(f"duplicate state {name!r}", line_no)
-            states.append(name)
+            states[name] = None
             for flag in tokens[2:]:
                 if flag == "initial":
                     if initial is not None:
@@ -95,18 +91,14 @@ def parse_pda(text: str) -> Pda:
                     finals.add(name)
                 else:
                     raise PdaFormatError(f"unknown state flag {flag!r}", line_no)
-        elif directive == "input":
+        elif directive == "input" or directive == "stack":
+            declared = inputs if directive == "input" else stacks
+            kind = directive + " symbol name"
             for s in tokens[1:]:
-                _check_name(s, "input symbol name", line_no)
-                if s in inputs:
-                    raise PdaFormatError(f"duplicate input symbol {s!r}", line_no)
-                inputs.append(s)
-        elif directive == "stack":
-            for s in tokens[1:]:
-                _check_name(s, "stack symbol name", line_no)
-                if s in stacks:
-                    raise PdaFormatError(f"duplicate stack symbol {s!r}", line_no)
-                stacks.append(s)
+                _check_name(s, kind, line_no)
+                if s in declared:
+                    raise PdaFormatError(f"duplicate {directive} symbol {s!r}", line_no)
+                declared[s] = None
         elif directive == "trans":
             trans_lines.append((line_no, tokens))
         else:
@@ -115,8 +107,6 @@ def parse_pda(text: str) -> Pda:
     if initial is None:
         raise PdaFormatError("no initial state declared", 1 + text.count("\n"))
 
-    state_set = set(states)
-    input_set = set(inputs)
     stack_set = set(stacks)
     transitions: list[PdaTransition] = []
     seen_ids: set[str] = set()
@@ -128,11 +118,11 @@ def parse_pda(text: str) -> Pda:
         if tid in seen_ids:
             raise PdaFormatError(f"duplicate id: {tid}", line_no)
         seen_ids.add(tid)
-        if src not in state_set:
+        if src not in states:
             raise PdaFormatError(f"unknown state: {src!r}", line_no)
-        if dst not in state_set:
+        if dst not in states:
             raise PdaFormatError(f"unknown state: {dst!r}", line_no)
-        if inp != "-" and inp not in input_set:
+        if inp != "-" and inp not in inputs:
             raise PdaFormatError(f"unknown symbol: input {inp!r}", line_no)
         transitions.append(
             PdaTransition(

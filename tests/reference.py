@@ -261,6 +261,12 @@ def naive_s(nfa, q, sigma):
     }
 
 
+def closure_row(rows, s):
+    """Row ``s`` of an ``EpsClosure`` map, ``to`` or ``fro``, read without
+    creating an entry: a state no edge has touched has only itself."""
+    return rows.get(s, {s})
+
+
 def scratch_forward(nfa, s):
     """States reachable from s over epsilon edges (reflexive)."""
     return set(bfs(s, lambda u: nfa.eps_out.get(u, ())))

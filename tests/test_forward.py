@@ -22,6 +22,7 @@ from pdaprune import (
 
 from .conftest import GRAMMAR_DOCS, corpus, make_pda
 from .reference import (
+    closure_row,
     naive_s,
     nfa_shape_violations,
     scratch_backward,
@@ -275,7 +276,7 @@ def test_closure_single_edge():
     c = EpsClosure()
     q0, n1 = "q0", 1
     c.add_edge(q0, n1)
-    assert c.backward(n1) == {n1, q0}
+    assert closure_row(c.to, n1) == {n1, q0}
 
 
 def test_closure_duplicate_edge_is_noop():
@@ -291,14 +292,14 @@ def test_closure_transitive_on_golden(golden):
     nfa = golden.nfa
     n1 = nfa.gamma_into["a"]["q1"]
     n2 = nfa.gamma_into["b"]["q1"]
-    b_q3 = golden.closure.backward("q3")
+    b_q3 = closure_row(golden.closure.to, "q3")
     assert b_q3 == {"q3", n1, n2, "q0"}
 
 
 def test_closure_matches_scratch_on_golden(golden):
     for s in golden.nfa.states:
-        assert golden.closure.backward(s) == scratch_backward(golden.nfa, s)
-        assert golden.closure.forward(s) == scratch_forward(golden.nfa, s)
+        assert closure_row(golden.closure.to, s) == scratch_backward(golden.nfa, s)
+        assert closure_row(golden.closure.fro, s) == scratch_forward(golden.nfa, s)
 
 
 @settings(max_examples=60, deadline=None)
@@ -330,8 +331,8 @@ def assert_closure_equals_scratch(nodes, edges):
         if nfa.add_eps_edge(x, y):
             closure.add_edge(x, y)
     for s in nodes:
-        assert closure.backward(s) == scratch_backward(nfa, s), (edges, s)
-        assert closure.forward(s) == scratch_forward(nfa, s), (edges, s)
+        assert closure_row(closure.to, s) == scratch_backward(nfa, s), (edges, s)
+        assert closure_row(closure.fro, s) == scratch_forward(nfa, s), (edges, s)
 
 
 def test_compute_s_equals_bruteforce_on_golden(golden, example1_p0_restricted):

@@ -6,7 +6,7 @@ import ast
 from pathlib import Path
 
 import pdaprune
-from pdaprune import model, oracle
+from pdaprune import forward, model, oracle
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "pdaprune"
@@ -49,6 +49,12 @@ def test_test_only_references_stay_out_of_the_package():
         assert not moved & set(vars(module)), module.__name__
     assert not moved & set(pdaprune.__all__)
     assert not hasattr(model.Pda, "transition_ids")
+    # Closure rows are read through ``reference.closure_row``.
+    assert not hasattr(forward.EpsClosure, "backward")
+    assert not hasattr(forward.EpsClosure, "forward")
+    # ``is_valid_name`` is the one name rule and ``validate`` has one path.
+    assert not hasattr(model, "_obviously_valid")
+    assert not hasattr(model, "_BAD_NAME_CHAR")
 
 
 def test_no_test_module_imports_another():

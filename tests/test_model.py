@@ -161,7 +161,17 @@ def test_builders_reject_their_own_invalid_builds(monkeypatch):
 
 @pytest.mark.parametrize(
     "name,ok",
-    [("a", True), ("g12", True), ("", False), ("a b", False), ("a,b", False), ("#x", False)],
+    [
+        ("a", True),
+        ("g12", True),
+        ("", False),
+        ("a b", False),
+        ("a,b", False),
+        ("#x", False),
+        ("q1\n", False),
+        ("\nq1", False),
+        ("q1\r", False),
+    ],
 )
 def test_name_rule(name, ok):
     assert is_valid_name(name) is ok

@@ -19,6 +19,7 @@ from pdaprune.model import remove_transitions
 
 from .conftest import GRAMMAR_DOCS, corpus, nfa_accepted_configs, shuffled_transitions
 from .reference import (
+    closure_row,
     bounded_fired,
     bounded_language,
     bounded_reachable,
@@ -65,8 +66,8 @@ def test_closure_matches_scratch_on_corpus():
     for pda in corpus(30):
         _, fwd = forward_of(pda)
         for s in fwd.nfa.states:
-            assert fwd.closure.backward(s) == scratch_backward(fwd.nfa, s)
-            assert fwd.closure.forward(s) == scratch_forward(fwd.nfa, s)
+            assert closure_row(fwd.closure.to, s) == scratch_backward(fwd.nfa, s)
+            assert closure_row(fwd.closure.fro, s) == scratch_forward(fwd.nfa, s)
 
 
 def test_closure_flag_equivalent_on_corpus():

@@ -1,9 +1,11 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdaprune import (
+    Pda,
     PdaFormatError,
+    PdaTransition,
     cfg_to_pda,
     parse_grammar,
     parse_pda,
@@ -119,8 +121,8 @@ AGREEMENT_TOKENS = {"state": "q1", "input": "x1", "stack": "g1", "id": "t0"}
 
 @pytest.mark.parametrize("role", sorted(AGREEMENT_TOKENS))
 def test_parse_and_validate_agree_on_name_characters(role):
-    """A token of a parsed line never holds whitespace or '#', so the parser
-    checks only the ',' and '-' rules; what it accepts must validate."""
+    """The parser checks every name it declares against the name rule, so
+    what it accepts must validate."""
     assert len(WHITESPACE) == 29
     assert validate(parse_pda(AGREEMENT_DOC.format(**AGREEMENT_TOKENS))) == []
     for ch in WHITESPACE + [",", "#", "-"]:
@@ -131,6 +133,101 @@ def test_parse_and_validate_agree_on_name_characters(role):
         except PdaFormatError:
             continue
         assert validate(pda) == [], (role, ch)
+
+
+def with_char(name, ch, where):
+    """``name`` with ``ch`` put first (0), in the middle (1) or last (2)."""
+    cut = (0, len(name) // 2, len(name))[where]
+    return name[:cut] + ch + name[cut:]
+
+
+def renamed(pda, old, new):
+    """``pda`` with the name ``old`` replaced by ``new`` in every role."""
+
+    def r(name):
+        return new if name == old else name
+
+    def rs(names):
+        return tuple(map(r, names))
+
+    return Pda(
+        states=rs(pda.states),
+        input_alphabet=rs(pda.input_alphabet),
+        stack_alphabet=rs(pda.stack_alphabet),
+        transitions=tuple(
+            PdaTransition(
+                id=r(t.id),
+                source=r(t.source),
+                input=None if t.input is None else r(t.input),
+                pop=rs(t.pop),
+                push=rs(t.push),
+                target=r(t.target),
+            )
+            for t in pda.transitions
+        ),
+        initial=r(pda.initial),
+        finals=frozenset(rs(pda.finals)),
+    )
+
+
+AGREEMENT_PDA = parse_pda(AGREEMENT_DOC.format(**AGREEMENT_TOKENS))
+
+
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_validate_rejects_whitespace_in_names(where):
+    """No name of any role may hold whitespace anywhere, the last character
+    included: ``print_pda`` would write a document that does not parse."""
+    for ch in WHITESPACE:
+        for token in AGREEMENT_TOKENS.values():
+            pda = renamed(AGREEMENT_PDA, token, with_char(token, ch, where))
+            assert validate(pda) != [], (token, ch)
+
+
+# Legal names in every role, '-' aside: it may not name a symbol.
+PLAIN_NAMES = ["q0", "q1", "x", "g0", "-", "state", "initial", "final", "trans", "eps", "é", "a;b"]
+
+
+@st.composite
+def pdas(draw):
+    """A small Pda over PLAIN_NAMES.  In half of them one name then takes a
+    WHITESPACE, ',' or '#' character first, in the middle or last."""
+    names = st.sampled_from(PLAIN_NAMES)
+    states = draw(st.lists(names, min_size=1, max_size=3, unique=True))
+    inputs = draw(st.lists(names, max_size=2, unique=True))
+    stack = draw(st.lists(names, max_size=3, unique=True))
+    string = st.lists(st.sampled_from(stack), max_size=2).map(tuple) if stack else st.just(())
+    transition = st.builds(
+        PdaTransition,
+        id=names,
+        source=st.sampled_from(states),
+        input=(st.none() | st.sampled_from(inputs)) if inputs else st.none(),
+        pop=string,
+        push=string,
+        target=st.sampled_from(states),
+    )
+    pda = Pda(
+        states=tuple(states),
+        input_alphabet=tuple(inputs),
+        stack_alphabet=tuple(stack),
+        transitions=tuple(draw(st.lists(transition, max_size=4, unique_by=lambda t: t.id))),
+        initial=draw(st.sampled_from(states)),
+        finals=draw(st.frozensets(st.sampled_from(states))),
+    )
+    if draw(st.booleans()):
+        old = draw(names)
+        ch = draw(st.sampled_from(WHITESPACE + [",", "#"]))
+        pda = renamed(pda, old, with_char(old, ch, draw(st.integers(0, 2))))
+    return pda
+
+
+@settings(max_examples=300, deadline=None)
+@given(pda=pdas())
+@example(pda=renamed(AGREEMENT_PDA, "q1", "q1\n"))
+def test_valid_pdas_round_trip(pda):
+    """The converse of ``test_parsed_documents_validate``: what validates
+    prints to a document that parses back to it."""
+    if validate(pda) == []:
+        assert parse_pda(print_pda(pda)) == pda
 
 
 def test_parsed_documents_validate():
