@@ -176,7 +176,7 @@ def establish_path(nfa: NfaSummary, labels: tuple[Symbol, ...], z: State) -> Sta
 
 @dataclass
 class ForwardResult:
-    """The saturated NFA and what the backward procedure reads off it.
+    """The saturated NFA of ``p0`` and what the backward procedure reads off it.
 
     ``ssets`` maps each (source, pop) group to its exact final S-set.  The
     sets are the ones saturation built, not copies: read-only, like the
@@ -189,6 +189,7 @@ class ForwardResult:
     path_head: dict[str, State]
     passes: int
     closure: EpsClosure = field(repr=False)
+    p0: Pda = field(repr=False)
 
 
 def run_forward(p0: Pda, bottom: Symbol, *, use_closure_index: bool = True) -> ForwardResult:
@@ -246,4 +247,5 @@ def run_forward(p0: Pda, bottom: Symbol, *, use_closure_index: bool = True) -> F
         path_head=path_head,
         passes=passes,
         closure=closure,
+        p0=p0,
     )

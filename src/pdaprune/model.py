@@ -118,7 +118,7 @@ def validate(pda: Pda) -> list[str]:
     if pda.initial not in states:
         diags.append(f"unknown state: initial {pda.initial!r}")
     if not states.issuperset(pda.finals):
-        diags += [f"unknown state: final {q!r}" for q in pda.finals if q not in states]
+        diags += [f"unknown state: final {q!r}" for q in sorted(pda.finals - states)]
     if (
         names_ok
         and len(ids) == len(ts)

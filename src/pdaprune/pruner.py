@@ -59,7 +59,7 @@ def run_pipeline(pda: Pda, *, use_closure_index: bool = True) -> PipelineResult:
 
     aug = augment(pda)
     fwd = run_forward(aug.p0, aug.bottom_marker, use_closure_index=use_closure_index)
-    bwd = run_backward(fwd, aug.p0)
+    bwd = run_backward(fwd)
 
     unreachable = fwd.u1 - aug.synthetic_ids
     dead = bwd.u2 - aug.synthetic_ids

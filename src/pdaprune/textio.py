@@ -58,6 +58,16 @@ def _split_list(token: str, declared: set[str], line_no: int, role: str) -> Stac
     return symbols
 
 
+def _lines(text: str):
+    """(line number, text) of each line not blank once its comment is cut.
+
+    Lines end only at ``\\n``; ``strip`` removes a CRLF's ``\\r``."""
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line_no, line
+
+
 def parse_pda(text: str) -> Pda:
     """Parse a PDA document; raises PdaFormatError with a line number."""
     # Dicts as ordered sets: declaration order, and constant-time lookups.
@@ -68,10 +78,7 @@ def parse_pda(text: str) -> Pda:
     stacks: dict[str, None] = {}
     trans_lines: list[tuple[int, list[str]]] = []
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in _lines(text):
         tokens = line.split()
         directive = tokens[0]
         if directive == "state":
@@ -172,10 +179,7 @@ def parse_grammar(text: str) -> Grammar:
     """Parse a grammar document; one production per alternative."""
     productions: list[tuple[str, tuple[str, ...]]] = []
     start: str | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in _lines(text):
         tokens = line.split()
         if tokens[0] == "%start":
             if len(tokens) != 2:

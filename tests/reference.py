@@ -304,22 +304,24 @@ def scan_eps_on_paths(nfa, x, sigma, q):
     return {(u, v) for u, i in fwd for v in nfa.eps_out.get(u, ()) if (v, i) in bwd}
 
 
-def reference_backward(fwd, p1, on_step=None):
+def reference_backward(fwd, on_step=None):
     """U2 from a worklist built directly on unique_gamma_path and
-    scan_eps_on_paths over the plain NFA.
+    scan_eps_on_paths over the plain NFA of ``fwd.p0``, skipping the
+    transitions in ``fwd.u1``.
 
     ``on_step``, when given, is called with the size of U2 after each
     processed edge.
     """
     nfa = fwd.nfa
-    (qf,) = p1.finals
+    (qf,) = fwd.p0.finals
+    reachable = [t for t in fwd.p0.transitions if t.id not in fwd.u1]
     seed = (M0, qf)
     if seed not in nfa.eps_edges:
-        return frozenset(t.id for t in p1.transitions)
+        return frozenset(t.id for t in reachable)
     by_push_target = {}
-    for t in p1.transitions:
+    for t in reachable:
         by_push_target.setdefault((t.push, t.target), []).append(t)
-    u2 = {t.id for t in p1.transitions}
+    u2 = {t.id for t in reachable}
     enqueued = {seed}
     pending = deque([seed])
     while pending:

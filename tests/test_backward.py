@@ -9,7 +9,6 @@ from pdaprune import (
     run_backward,
     run_forward,
 )
-from pdaprune.model import remove_transitions
 
 from .conftest import make_pda
 from .reference import reference_backward, scan_eps_on_paths, unique_gamma_path
@@ -25,21 +24,21 @@ def mids(nfa):
     return out
 
 
-def test_backward_worked_example(golden, example1_p0_restricted):
-    result = run_backward(golden, example1_p0_restricted)
+def test_backward_worked_example(golden):
+    result = run_backward(golden)
     assert result.u2 == {"t3"}
     assert not result.empty_language
 
 
-def test_backward_regression_no_substitution(golden, example1_p0_restricted):
+def test_backward_regression_no_substitution(golden):
     """t3 must stay dead: its push path n3 -a-> n4 -d-> q2 is never entered,
     even though another a,d-labeled walk with an epsilon shortcut exists."""
-    result = run_backward(golden, example1_p0_restricted)
+    result = run_backward(golden)
     assert "t3" in result.u2
     assert result.u2 == {"t3"}
 
 
-def test_backward_empty_language_shortcut(golden, example1_p0_restricted):
+def test_backward_empty_language_shortcut():
     # Forge an NFA without the seed edge by rebuilding on a final-less pda.
     pda = make_pda(
         ["q0"], [], ["a"], [("t0", "q0", None, "", "a", "q0")], "q0", []
@@ -48,9 +47,8 @@ def test_backward_empty_language_shortcut(golden, example1_p0_restricted):
 
     aug = augment(pda)
     fwd = run_forward(aug.p0, aug.bottom_marker)
-    p1 = remove_transitions(aug.p0, set(fwd.u1))
-    result = run_backward(fwd, p1)
-    assert result.u2 == {t.id for t in p1.transitions}
+    result = run_backward(fwd)
+    assert result.u2 == {t.id for t in aug.p0.transitions} - fwd.u1
     assert result.iterations == 0
     assert result.empty_language
 
@@ -60,22 +58,23 @@ def test_backward_minimal_single_step():
         ["q0", "qf"], [], ["b0"], [("t0", "q0", None, ["b0"], [], "qf")], "q0", ["qf"]
     )
     fwd = run_forward(p1, "b0")
-    result = run_backward(fwd, p1)
+    result = run_backward(fwd)
     assert result.u2 == frozenset()
     assert result.iterations == 1
 
 
-def test_backward_termination_bound(golden, example1_p0_restricted):
-    result = run_backward(golden, example1_p0_restricted)
+def test_backward_termination_bound(golden):
+    result = run_backward(golden)
     assert result.iterations <= len(golden.nfa.eps_edges)
 
 
-def test_backward_requires_single_final(golden, example1_p0_restricted):
+def test_backward_requires_single_final(example1_p0_restricted):
     import dataclasses
 
     bad = dataclasses.replace(example1_p0_restricted, finals=frozenset({"qf", "q3"}))
+    fwd = run_forward(bad, "b0")
     with pytest.raises(ValueError):
-        run_backward(golden, bad)
+        run_backward(fwd)
 
 
 def test_unique_gamma_path_values(golden):
@@ -112,10 +111,10 @@ def test_scan_eps_worked_values(golden):
     assert scan_eps_on_paths(nfa, m["n2"], ("d", "b"), "q2") == {("q1", m["n4"])}
 
 
-def test_backward_order_independent(golden, example1_p0_restricted):
+def test_backward_order_independent(golden):
     rng = random.Random(7)
     runs = [
-        run_backward(golden, example1_p0_restricted, pick=pick)
+        run_backward(golden, pick=pick)
         for pick in (
             None,
             lambda pending: 0,
@@ -130,6 +129,6 @@ def test_backward_order_independent(golden, example1_p0_restricted):
 def test_backward_monotone_shrinking(golden, example1_p0_restricted):
     """u2 only loses members as edges are processed."""
     sizes = [len(example1_p0_restricted.transitions)]
-    reference_backward(golden, example1_p0_restricted, on_step=sizes.append)
+    reference_backward(golden, on_step=sizes.append)
     assert sizes == sorted(sizes, reverse=True)
     assert sizes[-1] == 1

@@ -3,10 +3,11 @@ with ``ast``, and the test-only references kept out of the package's
 namespace."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pdaprune
-from pdaprune import forward, model, oracle
+from pdaprune import backward, forward, model, oracle
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "pdaprune"
@@ -55,6 +56,19 @@ def test_test_only_references_stay_out_of_the_package():
     # ``is_valid_name`` is the one name rule and ``validate`` has one path.
     assert not hasattr(model, "_obviously_valid")
     assert not hasattr(model, "_BAD_NAME_CHAR")
+
+
+def test_backward_reads_only_the_forward_result():
+    """Backward takes the forward result, which carries its automaton, and
+    keeps its path scans inside ``run_backward``."""
+    assert not hasattr(backward, "_PathLevels")
+    defined = {
+        name
+        for name, obj in vars(backward).items()
+        if inspect.isclass(obj) and obj.__module__ == backward.__name__
+    }
+    assert defined == {"BackwardResult"}
+    assert list(inspect.signature(backward.run_backward).parameters) == ["fwd", "pick"]
 
 
 def test_no_test_module_imports_another():

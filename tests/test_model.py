@@ -108,6 +108,12 @@ def test_validate_diagnostics_per_rule(change, diags):
     assert validate(make_pda(**(VALID | change))) == diags
 
 
+def test_validate_words_unknown_finals_in_sorted_order():
+    unknown = [f"u{i}" for i in range(8)]
+    bad = make_pda(**(VALID | {"finals": ["q1", *reversed(unknown)]}))
+    assert validate(bad) == [f"unknown state: final {q!r}" for q in unknown]
+
+
 def test_validate_diagnostics_all_rules_at_once():
     bad = make_pda(
         states=["q0", "q0", "q 1"],

@@ -15,7 +15,6 @@ from pdaprune import (
     run_backward,
     run_forward,
 )
-from pdaprune.model import remove_transitions
 
 from .conftest import GRAMMAR_DOCS, corpus, nfa_accepted_configs, shuffled_transitions
 from .reference import (
@@ -89,12 +88,11 @@ def test_forward_order_independence():
 
 def test_backward_worklist_order_independence():
     for i, pda in enumerate(corpus(30)):
-        aug, fwd = forward_of(pda)
-        p1 = remove_transitions(aug.p0, set(fwd.u1))
-        default = run_backward(fwd, p1)
-        fifo = run_backward(fwd, p1, pick=lambda pending: 0)
+        _, fwd = forward_of(pda)
+        default = run_backward(fwd)
+        fifo = run_backward(fwd, pick=lambda pending: 0)
         rng = random.Random(i)
-        rnd = run_backward(fwd, p1, pick=lambda pending: rng.randrange(len(pending)))
+        rnd = run_backward(fwd, pick=lambda pending: rng.randrange(len(pending)))
         assert default.u2 == fifo.u2 == rnd.u2, pda
         assert default.iterations == fifo.iterations == rnd.iterations, pda
 
@@ -104,7 +102,7 @@ def test_readers_leave_closure_rows_and_ssets_untouched():
     built, so no later reader may change either."""
     pdas = corpus(60) + [cfg_to_pda(parse_grammar(g)) for g in GRAMMAR_DOCS]
     for i, pda in enumerate(pdas):
-        aug, fwd = forward_of(pda)
+        _, fwd = forward_of(pda)
         closure = fwd.closure
 
         def snapshot():
@@ -119,24 +117,14 @@ def test_readers_leave_closure_rows_and_ssets_untouched():
             compute_s(fwd.nfa, q, pop, closure)
         rng = random.Random(i)
         for pick in (None, lambda pending: 0, lambda pending: rng.randrange(len(pending))):
-            run_backward(fwd, aug.p0, pick=pick)
+            run_backward(fwd, pick=pick)
         assert snapshot() == before, pda
-
-
-def test_backward_on_p0_equals_backward_on_p1():
-    """Backward skips the transitions forward gave no path head, so it
-    needs no P1 built for it."""
-    for pda in corpus(60):
-        aug, fwd = forward_of(pda)
-        p1 = remove_transitions(aug.p0, set(fwd.u1))
-        assert run_backward(fwd, aug.p0) == run_backward(fwd, p1), pda
 
 
 def test_backward_processes_each_eps_edge_once():
     for pda in corpus(40):
-        aug, fwd = forward_of(pda)
-        p1 = remove_transitions(aug.p0, set(fwd.u1))
-        result = run_backward(fwd, p1)
+        _, fwd = forward_of(pda)
+        result = run_backward(fwd)
         assert result.iterations <= len(fwd.nfa.eps_edges), pda
 
 
@@ -202,23 +190,19 @@ def test_bounded_witnesses_always_classified_useful():
 def test_backward_engine_matches_reference(golden, example1_p0_restricted):
     """The indexed fast path inside run_backward computes the same set as a
     naive loop over unique_gamma_path and scan_eps_on_paths."""
-    assert run_backward(golden, example1_p0_restricted).u2 == reference_backward(
-        golden, example1_p0_restricted
-    )
+    assert run_backward(golden).u2 == reference_backward(golden)
     for pda in corpus(60):
-        aug, fwd = forward_of(pda)
-        p1 = remove_transitions(aug.p0, set(fwd.u1))
-        assert run_backward(fwd, p1).u2 == reference_backward(fwd, p1), pda
+        _, fwd = forward_of(pda)
+        assert run_backward(fwd).u2 == reference_backward(fwd), pda
 
 
 def test_backward_engine_matches_reference_on_dense_instance():
     """A dense machine whose backward run leaves some epsilon edges unqueued,
     so the live-source bookkeeping must skip sources without losing edges."""
     pda = random_pda(2025, max_states=19, max_trans=120, gamma_size=4, final_prob=0.1)
-    aug, fwd = forward_of(pda)
-    p1 = remove_transitions(aug.p0, set(fwd.u1))
-    expected = reference_backward(fwd, p1)
-    default = run_backward(fwd, p1)
+    _, fwd = forward_of(pda)
+    expected = reference_backward(fwd)
+    default = run_backward(fwd)
     assert not default.empty_language
     assert default.iterations < len(fwd.nfa.eps_edges)
     rng = random.Random(2025)
@@ -227,6 +211,6 @@ def test_backward_engine_matches_reference_on_dense_instance():
         lambda pending: 0,
         lambda pending: rng.randrange(len(pending)),
     ):
-        result = run_backward(fwd, p1, pick=pick)
+        result = run_backward(fwd, pick=pick)
         assert result.u2 == expected
         assert result.iterations == default.iterations

@@ -73,6 +73,18 @@ def test_parse_error_line_numbers():
     assert err.value.line == 3
 
 
+def test_lines_end_only_at_newline(example1):
+    """Form feeds and other separators neither end a line nor a comment,
+    and a CRLF reads like an LF."""
+    assert parse_pda("state q0 initial # note\fstate q1 final\n").states == ("q0",)
+    with pytest.raises(PdaFormatError) as err:
+        parse_pda("state q0 initial\f\nstate q0\n")
+    assert err.value.line == 2
+    assert parse_grammar("S -> a # c\fS -> b\n").productions == (("S", ("a",)),)
+    assert parse_pda(EXAMPLE1_DOC.replace("\n", "\r\n")) == example1
+    assert parse_grammar("S -> a S b |\r\n") == parse_grammar("S -> a S b |\n")
+
+
 # A seven-line document; each case breaks one name on one line.
 NAMES_DOC = """\
 state q0 initial
