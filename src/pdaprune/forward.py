@@ -24,7 +24,8 @@ sets.  Most evaluations end there; the check skips the work after an
 evaluation, never the evaluation itself.
 
 ``pop_levels`` is the one pop-path walk: ``compute_s`` reads S(q, pop) off
-its last level, and the backward path scans read their levels from it too.
+its last level, and the backward path scans take their backward levels from
+it (their forward levels ``run_backward`` builds from ``closure.fro`` rows).
 It hops gamma edges through the NFA's per-label index, intersecting a level
 with the targets of that label's edges.  For a one-symbol pop the only
 level is q's epsilon-closure row, which ``compute_s`` intersects where it

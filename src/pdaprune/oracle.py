@@ -4,9 +4,11 @@
 a move bound; it is sound but not complete (its witnesses are definitely
 useful) and backs ``verify --bounded``.  ``exact_useless`` converts the
 automaton to a context-free grammar and reuses the classic
-useless-production elimination; a fresh marker terminal per transition ties
-production usefulness back to transition usefulness.  Neither shares code
-with the detector being verified.  The searches that only the test suite
+useless-production elimination; each production keeps the id of the
+transition it came from, which ties production usefulness back to
+transition usefulness.  Besides the model types, ``exact_useless`` shares
+only ``validate`` and ``augment`` with the detector being verified, never
+its forward or backward analysis.  The searches that only the test suite
 needs (reachable configurations, bounded languages and derivations) live
 in ``tests/reference.py``.
 """
@@ -21,7 +23,6 @@ from .model import (
     GrammarSymbol,
     Pda,
     PdaTransition,
-    StackString,
     Symbol,
     validate,
 )
@@ -96,114 +97,83 @@ def bounded_useful(pda: Pda, max_stack: int, max_moves: int) -> frozenset[str]:
 class NormalizedPda:
     """Single-pop, <=2-push form of an augmented PDA.
 
-    Every original transition expands into a fixed chain through fresh
-    states; the one designated representative edge of each chain keeps the
-    original id, and ``original_ids`` holds those ids.  A transition with an
-    empty pop string first pops and re-pushes the actual stack top under a
-    fresh placeholder symbol, so all its per-top variants share the
-    placeholder-consuming representative edge.
+    Every original transition t expands into a chain of edges that all keep
+    t's id.  The states the chain passes through are named
+    ``f"{t.id}#{kind}{i}"`` and each has exactly one outgoing edge, so a run
+    that takes any edge of the chain takes all of it, which is firing t.  A
+    transition with an empty pop string first pops and re-pushes the actual
+    stack top under the placeholder symbol ``f"{t.id}#w"``.  Valid names
+    never contain ``#``, so the added names cannot clash with the input's or
+    ``augment``'s; the result, with its repeated ids, is not itself a valid
+    ``Pda``.
     """
 
     pda: Pda
-    original_ids: frozenset[str]
     bottom: Symbol
     accept_state: str
 
 
 def normalize(aug: AugmentedPda) -> NormalizedPda:
     p0 = aug.p0
-    taken_ids = {t.id for t in p0.transitions}
-    taken_states = set(p0.states)
-    taken_syms = set(p0.stack_alphabet)
-    mid_states: list[str] = []
+    added_states: list[str] = []
     placeholders: list[Symbol] = []
-    counters = {"state": 0, "sym": 0, "id": 0}
-
-    def fresh(kind: str, prefix: str, taken: set[str], bucket: list | None) -> str:
-        while True:
-            name = f"{prefix}{counters[kind]}"
-            counters[kind] += 1
-            if name not in taken:
-                taken.add(name)
-                if bucket is not None:
-                    bucket.append(name)
-                return name
-
     out: list[PdaTransition] = []
 
-    def emit(tid, source, inp, pop_sym, push, target):
-        out.append(PdaTransition(tid, source, inp, (pop_sym,), tuple(push), target))
-
-    def push_chain(tid, source, inp, pop_sym, tau: StackString, target):
-        """Edges that pop ``pop_sym`` and leave ``tau`` in its place.
-
-        The first edge seeds the bottom-most symbol of ``tau``; each further
-        edge grows the stack by one, re-pushing the symbol it popped.
-        """
-        j = len(tau)
-        if j == 0:
-            emit(tid, source, inp, pop_sym, (), target)
-            return
-        cur = source
-        dst = target if j == 1 else fresh("state", "__nm", taken_states, mid_states)
-        emit(tid, cur, inp, pop_sym, (tau[j - 1],), dst)
-        cur = dst
-        for i in range(j - 1, 0, -1):
-            dst = target if i == 1 else fresh("state", "__nm", taken_states, mid_states)
-            emit(fresh("id", "__nt", taken_ids, None), cur, None, tau[i], (tau[i - 1], tau[i]), dst)
-            cur = dst
+    def chain(t, source, inp, steps):
+        """Edges from ``source`` to t's target, one per (pop symbol, push)
+        step, through added states; only the first edge reads ``inp``."""
+        for i, (x, push) in enumerate(steps):
+            if i < len(steps) - 1:
+                dst = f"{t.id}#{'push' if push else 'pop'}{i}"
+                added_states.append(dst)
+            else:
+                dst = t.target
+            out.append(PdaTransition(t.id, source, inp, (x,), push, dst))
+            source, inp = dst, None
 
     for t in p0.transitions:
+        # The push steps leave t.push in place of the last symbol popped: the
+        # first seeds its bottom-most symbol, and each further step grows the
+        # stack by one, re-pushing the symbol it popped.
+        tau = t.push
+        grow = [(tau[i], (tau[i - 1], tau[i])) for i in range(len(tau) - 1, 0, -1)]
         if t.pop:
-            # Pure pops first, then the push chain rides on the last pop.
-            cur, tid, inp = t.source, t.id, t.input
-            for i in range(len(t.pop) - 1):
-                nxt = fresh("state", "__nm", taken_states, mid_states)
-                emit(tid, cur, inp, t.pop[i], (), nxt)
-                tid, inp, cur = fresh("id", "__nt", taken_ids, None), None, nxt
-            push_chain(tid, cur, inp, t.pop[-1], t.push, t.target)
+            pops = [(x, ()) for x in t.pop[:-1]]
+            chain(t, t.source, t.input, pops + [(t.pop[-1], tau[-1:])] + grow)
         else:
-            w = fresh("sym", "__w", taken_syms, placeholders)
-            m = fresh("state", "__nm", taken_states, mid_states)
+            # Pop whatever is on top and re-push it under the placeholder,
+            # which the chain then pops.
+            w, m = f"{t.id}#w", f"{t.id}#fan0"
+            placeholders.append(w)
+            added_states.append(m)
             for x in p0.stack_alphabet:
-                emit(fresh("id", "__nt", taken_ids, None), t.source, t.input, x, (w, x), m)
-            push_chain(t.id, m, None, w, t.push, t.target)
+                out.append(PdaTransition(t.id, t.source, t.input, (x,), (w, x), m))
+            chain(t, m, None, [(w, tau[-1:])] + grow)
 
     (accept,) = p0.finals
     npda = Pda(
-        states=p0.states + tuple(mid_states),
+        states=p0.states + tuple(added_states),
         input_alphabet=p0.input_alphabet,
         stack_alphabet=p0.stack_alphabet + tuple(placeholders),
         transitions=tuple(out),
         initial=p0.initial,
         finals=p0.finals,
     )
-    return NormalizedPda(
-        pda=npda,
-        original_ids=frozenset(t.id for t in p0.transitions),
-        bottom=aug.bottom_marker,
-        accept_state=accept,
-    )
+    return NormalizedPda(pda=npda, bottom=aug.bottom_marker, accept_state=accept)
 
 
 # ---------------------------------------------------------------------------
 # Grammar conversion and useless-production elimination
 
-Marker = tuple[str, str]  # ("#", transition id) terminal tokens
 
-
-def marker_for(tid: str) -> Marker:
-    return ("#", tid)
-
-
-def pda_to_grammar(npda: NormalizedPda) -> tuple[Grammar, dict[int, str | None]]:
+def pda_to_grammar(npda: NormalizedPda) -> tuple[Grammar, list[str]]:
     """Triple construction on the normalized PDA, restricted to needed triples.
 
     The nonterminal (p, X, q) derives the inputs of runs from (p, X·rest)
-    to (q, rest).  Productions spawned by a representative edge carry a
-    marker terminal, so a transition is useful exactly when one of its
-    marked productions is.  Returns the grammar and the production-index ->
-    origin-transition map (None for productions of non-representative edges).
+    to (q, rest).  Returns the grammar and, aligned with its productions,
+    the id of the transition whose edge spawned each one.  A transition is
+    useful exactly when one of its productions is, because an accepting run
+    that takes any edge of its chain takes the whole chain.
     """
     p = npda.pda
     by_pop: dict[tuple[str, Symbol], list[PdaTransition]] = {}
@@ -218,13 +188,13 @@ def pda_to_grammar(npda: NormalizedPda) -> tuple[Grammar, dict[int, str | None]]
 
     start = (p.initial, npda.bottom, npda.accept_state)
     productions: list[tuple[GrammarSymbol, tuple[GrammarSymbol, ...]]] = []
-    origin: dict[int, str | None] = {}
+    origin: list[str] = []
     needed: set[tuple] = {start}
     queue = deque([start])
 
-    def add(lhs, rhs, origin_id):
-        origin[len(productions)] = origin_id
+    def add(lhs, rhs, tid):
         productions.append((lhs, rhs))
+        origin.append(tid)
 
     def need(triple):
         if triple not in needed:
@@ -235,32 +205,25 @@ def pda_to_grammar(npda: NormalizedPda) -> tuple[Grammar, dict[int, str | None]]
         triple = queue.popleft()
         src, top, dst = triple
         for t in by_pop.get((src, top), ()):
-            origin_id = t.id if t.id in npda.original_ids else None
-            prefix: tuple[GrammarSymbol, ...] = ()
-            if origin_id is not None:
-                prefix += (marker_for(origin_id),)
-            if t.input is not None:
-                prefix += (t.input,)
+            prefix: tuple[GrammarSymbol, ...] = () if t.input is None else (t.input,)
             if not t.push:
                 if t.target == dst:
-                    add(triple, prefix, origin_id)
+                    add(triple, prefix, t.id)
             elif len(t.push) == 1:
                 child = (t.target, t.push[0], dst)
-                add(triple, prefix + (child,), origin_id)
+                add(triple, prefix + (child,), t.id)
                 need(child)
             else:
                 for mid in pop_exits:
                     left = (t.target, t.push[0], mid)
                     right = (mid, t.push[1], dst)
-                    add(triple, prefix + (left, right), origin_id)
+                    add(triple, prefix + (left, right), t.id)
                     need(left)
                     need(right)
 
-    terminals = set(p.input_alphabet)
-    terminals.update(marker_for(tid) for tid in npda.original_ids)
     grammar = Grammar(
         nonterminals=frozenset(needed),
-        terminals=frozenset(terminals),
+        terminals=frozenset(p.input_alphabet),
         productions=tuple(productions),
         start=start,
     )
@@ -328,11 +291,5 @@ def exact_useless(pda: Pda) -> frozenset[str]:
     npda = normalize(aug)
     grammar, origin = pda_to_grammar(npda)
     dead_prods = grammar_useless(grammar)
-    live_origins = {
-        origin[i]
-        for i in range(len(grammar.productions))
-        if i not in dead_prods and origin[i] is not None
-    }
-    return frozenset(
-        t.id for t in pda.transitions if t.id not in live_origins
-    )
+    live = {tid for i, tid in enumerate(origin) if i not in dead_prods}
+    return frozenset(t.id for t in pda.transitions if t.id not in live)

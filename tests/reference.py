@@ -7,7 +7,7 @@ code with the optimized paths it checks.
 from collections import deque
 from dataclasses import replace
 
-from pdaprune import EPSILON, M0, Configuration, Grammar, PdaTransition, is_final
+from pdaprune import EPSILON, M0, Configuration, PdaTransition, is_final
 from pdaprune.augment import _fresh
 from pdaprune.model import NfaShapeError
 
@@ -186,22 +186,6 @@ def support_initial_stack(pda, initial_stack):
         states=pda.states + (start,),
         transitions=pda.transitions + (seed,),
         initial=start,
-    )
-
-
-def strip_markers(g):
-    """The same grammar with the oracle's marker terminals erased."""
-
-    def is_marker(s):
-        return isinstance(s, tuple) and len(s) == 2 and s[0] == "#"
-
-    return Grammar(
-        nonterminals=g.nonterminals,
-        terminals=frozenset(s for s in g.terminals if not is_marker(s)),
-        productions=tuple(
-            (lhs, tuple(s for s in rhs if not is_marker(s))) for lhs, rhs in g.productions
-        ),
-        start=g.start,
     )
 
 

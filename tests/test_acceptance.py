@@ -56,55 +56,9 @@ def prop1_data():
     return out
 
 
-@pytest.fixture(scope="module")
-def example1_pda(request):
-    from .conftest import make_pda
-
-    return make_pda(
-        states=["q0", "q1", "q2", "q3"],
-        inputs=[],
-        stack=["a", "b", "c", "d"],
-        transitions=[
-            ("t1", "q0", None, "", "a", "q1"),
-            ("t2", "q0", None, "", "b", "q1"),
-            ("t3", "q0", None, "", "da", "q2"),
-            ("t4", "q1", None, "", "c", "q2"),
-            ("t5", "q1", None, "", "d", "q2"),
-            ("t6", "q2", None, "ca", "", "q3"),
-            ("t7", "q2", None, "db", "", "q3"),
-        ],
-        initial="q0",
-        finals=["q3"],
-    )
-
-
-@pytest.fixture(scope="module")
-def example1_restricted_forward():
-    from .conftest import make_pda
-
-    p0 = make_pda(
-        states=["q0", "q1", "q2", "q3", "qf"],
-        inputs=[],
-        stack=["a", "b", "c", "d", "b0"],
-        transitions=[
-            ("t1", "q0", None, "", "a", "q1"),
-            ("t2", "q0", None, "", "b", "q1"),
-            ("t3", "q0", None, "", "da", "q2"),
-            ("t4", "q1", None, "", "c", "q2"),
-            ("t5", "q1", None, "", "d", "q2"),
-            ("t6", "q2", None, "ca", "", "q3"),
-            ("t7", "q2", None, "db", "", "q3"),
-            ("t8", "q3", None, ["b0"], [], "qf"),
-        ],
-        initial="q0",
-        finals=["qf"],
-    )
-    return run_forward(p0, "b0")
-
-
-def test_criterion_1_worked_example(example1_pda):
+def test_criterion_1_worked_example(example1):
     start = time.perf_counter()
-    report = analyze(example1_pda)
+    report = analyze(example1)
     elapsed = time.perf_counter() - start
     assert report.unreachable == frozenset()
     assert report.useless == {"t3"}
@@ -113,9 +67,9 @@ def test_criterion_1_worked_example(example1_pda):
     passline(1, f"unreachable empty, useless == {{t3}}, {elapsed * 1000:.1f} ms")
 
 
-def test_criterion_2_nfa_golden(example1_restricted_forward):
-    nfa = example1_restricted_forward.nfa
-    assert example1_restricted_forward.u1 == frozenset()
+def test_criterion_2_nfa_golden(golden):
+    nfa = golden.nfa
+    assert golden.u1 == frozenset()
 
     # Intermediates are matched by their unique gamma path to a final state.
     n1 = nfa.gamma_into["a"]["q1"]
@@ -181,12 +135,12 @@ def test_criterion_4_bounded_configuration_equivalence(prop1_data):
 
 
 def test_criterion_5_structural_invariants(
-    pipelines500, prop1_data, example1_pda, example1_restricted_forward
+    pipelines500, prop1_data, example1, golden
 ):
     nfas = [p.fwd.nfa for p in pipelines500]
     nfas.extend(fwd.nfa for _, _, fwd in prop1_data)
-    nfas.append(run_pipeline(example1_pda).fwd.nfa)
-    nfas.append(example1_restricted_forward.nfa)
+    nfas.append(run_pipeline(example1).fwd.nfa)
+    nfas.append(golden.nfa)
     violations = []
     for nfa in nfas:
         violations.extend(nfa_shape_violations(nfa))

@@ -38,6 +38,14 @@ def test_only_cli_and_package_import_oracle():
     assert importers <= {"cli.py", "__init__.py"}
 
 
+def test_oracle_imports_only_model_and_augment():
+    """The exact oracle stays independent of the detector it checks."""
+    package = {
+        name for name in imported_modules(SRC / "oracle.py") if name.startswith("pdaprune.")
+    }
+    assert {name.split(".")[1] for name in package} == {"model", "augment"}
+
+
 def test_no_src_module_imports_tests():
     for path in SRC.glob("*.py"):
         for name in imported_modules(path):

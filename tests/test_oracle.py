@@ -2,6 +2,7 @@ import pytest
 
 from pdaprune import (
     Configuration,
+    PdaTransition,
     augment,
     analyze,
     bounded_useful,
@@ -12,15 +13,13 @@ from pdaprune import (
     pda_to_grammar,
     random_pda,
 )
-from pdaprune.oracle import marker_for
 
-from .conftest import make_pda
+from .conftest import corpus, make_pda
 from .reference import (
     bounded_derivations,
     bounded_fired,
     bounded_language,
     bounded_reachable,
-    strip_markers,
 )
 
 
@@ -111,13 +110,13 @@ def test_normalize_shapes(example1):
 
 def test_normalize_two_pop_chain(example1):
     # pop=ca push=eps expands to exactly two single-pop edges through one
-    # fresh state.
+    # added state, both keeping t6's id.
     npda = npda_for(example1)
-    (first,) = [t for t in npda.pda.transitions if t.id == "t6"]
-    assert first.pop == ("c",) and first.push == ()
+    (first,) = [t for t in npda.pda.transitions if t.source == "q2" and t.pop == ("c",)]
+    assert first.push == () and first.target not in example1.states
     (second,) = [t for t in npda.pda.transitions if t.source == first.target]
     assert second.pop == ("a",) and second.push == () and second.target == "q3"
-    assert first.target not in example1.states
+    assert first.id == second.id == "t6"
 
 
 def test_normalize_single_pop_single_push_unchanged():
@@ -125,10 +124,8 @@ def test_normalize_single_pop_single_push_unchanged():
         ["q0", "q1"], [], ["a"], [("t0", "q0", None, "a", "a", "q1")], "q0", ["q1"]
     )
     npda = npda_for(pda)
-    kept = [t for t in npda.pda.transitions if t.id == "t0"]
-    assert len(kept) == 1
-    assert kept[0].pop == ("a",) and kept[0].push == ("a",)
-    assert "t0" in npda.original_ids
+    kept = [t for t in npda.pda.transitions if t.source == "q0"]
+    assert kept == [PdaTransition("t0", "q0", None, ("a",), ("a",), "q1")]
 
 
 def test_normalize_pop_eps_uses_placeholder():
@@ -136,7 +133,7 @@ def test_normalize_pop_eps_uses_placeholder():
         ["q0", "q1"], [], ["d", "a"], [("t0", "q0", None, "", "da", "q1")], "q0", ["q1"]
     )
     npda = npda_for(pda)
-    fan = [t for t in npda.pda.transitions if t.source == "q0" and t.id.startswith("__nt")]
+    fan = [t for t in npda.pda.transitions if t.source == "q0"]
     # One fan edge per stack symbol of P0 (d, a and the bottom marker).
     assert len(fan) == 3
     placeholders = {t.push[0] for t in fan}
@@ -145,7 +142,36 @@ def test_normalize_pop_eps_uses_placeholder():
     assert all(t.push == (w, t.pop[0]) for t in fan)
     spine = [t for t in npda.pda.transitions if t.pop == (w,)]
     assert len(spine) == 1
-    assert spine[0].id == "t0"
+    assert {t.id for t in fan} == {spine[0].id} == {"t0"}
+
+
+def test_normalize_edges_keep_ids_through_marked_states(example1):
+    # The names the normalizer once made up for itself are legal input names.
+    taken = make_pda(
+        ["__nm0", "__nm1", "q1"],
+        ["x"],
+        ["__w0", "a"],
+        [
+            ("__nt0", "__nm0", None, [], ["__w0", "a"], "__nm1"),
+            ("__nt1", "__nm1", "x", ["__w0", "a"], ["a", "a", "__w0"], "q1"),
+            ("__nt2", "q1", None, ["a"], [], "__nm0"),
+        ],
+        "__nm0",
+        ["q1"],
+    )
+    for pda in [example1, taken] + corpus(40):
+        aug = augment(pda)
+        npda = normalize(aug)
+        edges = npda.pda.transitions
+        assert {t.id for t in edges} == {t.id for t in aug.p0.transitions}, pda
+        states, symbols = npda.pda.states, npda.pda.stack_alphabet
+        assert len(set(states)) == len(states) and len(set(symbols)) == len(symbols)
+        added = set(states) - set(aug.p0.states)
+        for q in added:
+            assert sum(t.source == q for t in edges) == 1, (pda, q)
+            assert len({t.id for t in edges if q in (t.source, t.target)}) == 1, (pda, q)
+        added_symbols = set(symbols) - set(aug.p0.stack_alphabet)
+        assert all("#" in name for name in added | added_symbols), pda
 
 
 def test_normalize_preserves_bounded_language(example1):
@@ -180,11 +206,12 @@ def test_pda_to_grammar_single_transition():
     npda = npda_for(pda)
     grammar, origin = pda_to_grammar(npda)
     useless = grammar_useless(grammar)
-    # Acceptance works purely through the synthetic drain; every marked
-    # production on that route is useful.
+    # Acceptance works purely through the synthetic drain, whose
+    # productions are useful.
+    assert len(origin) == len(grammar.productions)
     live = {origin[i] for i in range(len(grammar.productions)) if i not in useless}
-    assert live - {None}  # something useful carries provenance
-    assert bounded_derivations(strip_markers(grammar), 0) == {()}
+    assert live
+    assert bounded_derivations(grammar, 0) == {()}
 
 
 def test_pda_to_grammar_example1_markers(example1):
@@ -194,8 +221,6 @@ def test_pda_to_grammar_example1_markers(example1):
     dead_origins = set()
     live_origins = set()
     for i in range(len(grammar.productions)):
-        if origin[i] is None:
-            continue
         (live_origins if i not in useless else dead_origins).add(origin[i])
     assert "t3" not in live_origins
     assert {"t1", "t2", "t4", "t5", "t6", "t7"} <= live_origins
@@ -275,7 +300,7 @@ def test_grammar_language_fidelity():
     for seed in range(8):
         pda = random_pda(seed, max_states=3, max_trans=5, gamma_size=2)
         grammar, _ = pda_to_grammar(npda_for(pda))
-        derived = bounded_derivations(strip_markers(grammar), 3)
+        derived = bounded_derivations(grammar, 3)
         accepted = bounded_language(pda, 3, 8, 40)
         assert derived == accepted, seed
 
@@ -290,8 +315,3 @@ def test_bounded_fired_sees_all_reachable(example1):
     start = Configuration(aug.p0.initial, (aug.bottom_marker,))
     fired = bounded_fired(aug.p0, start, 5)
     assert {"t1", "t2", "t3", "t4", "t5", "t6", "t7"} <= fired
-
-
-def test_marker_terminals_are_distinct():
-    assert marker_for("t1") != marker_for("t2")
-    assert marker_for("t1") == marker_for("t1")

@@ -3,19 +3,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdaprune import (
+    Grammar,
     Pda,
     PdaFormatError,
     PdaTransition,
+    augment,
     cfg_to_pda,
+    make_grammar,
+    normalize,
     parse_grammar,
     parse_pda,
+    pda_to_grammar,
     print_grammar,
     print_pda,
     random_pda,
     validate,
 )
 
-from .conftest import EXAMPLE1_DOC, corpus, random_grammar
+from .conftest import EXAMPLE1_DOC, GRAMMAR_DOCS, corpus, random_grammar
 
 
 def test_parse_example1_document(example1):
@@ -269,6 +274,29 @@ def test_grammar_roundtrip():
     assert g.start == "S"
     assert g.productions == (("S", ("a", "S")), ("S", ()), ("B", ("b",)))
     assert g.terminals == {"a", "b"}
+
+
+@pytest.mark.parametrize(
+    "grammar",
+    [
+        make_grammar([("S", ("a|b",))]),
+        make_grammar([("S", ("a#b",))]),
+        # A has no production, so its text would read back as a terminal.
+        Grammar(frozenset({"S", "A"}), frozenset(), (("S", ("A",)),), "S"),
+        pda_to_grammar(normalize(augment(random_pda(3))))[0],
+    ],
+    ids=["bar", "hash", "bare-nonterminal", "tuple-symbols"],
+)
+def test_print_grammar_refuses_text_that_reads_back_differently(grammar):
+    with pytest.raises(ValueError):
+        print_grammar(grammar)
+
+
+def test_print_grammar_roundtrips():
+    grammars = [parse_grammar(doc) for doc in GRAMMAR_DOCS]
+    grammars += [random_grammar(seed) for seed in range(100)]
+    for g in grammars:
+        assert parse_grammar(print_grammar(g)) == g
 
 
 def test_grammar_alternatives_split():
