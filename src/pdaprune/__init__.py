@@ -13,7 +13,7 @@ package; they live in the test suite.
 
 __version__ = "0.1.0"
 
-from .augment import AugmentedPda, augment
+from .augment import augment
 from .backward import BackwardResult, run_backward
 from .builders import cfg_to_pda, random_pda
 from .dot import nfa_to_dot, pda_to_dot
@@ -34,7 +34,6 @@ from .model import (
     validate,
 )
 from .oracle import (
-    NormalizedPda,
     bounded_useful,
     exact_useless,
     grammar_useless,
@@ -54,7 +53,6 @@ from .textio import PdaFormatError, parse_grammar, parse_pda, print_grammar, pri
 __all__ = [
     "AnalysisReport",
     "AnalysisStats",
-    "AugmentedPda",
     "BackwardResult",
     "Configuration",
     "EPSILON",
@@ -65,7 +63,6 @@ __all__ = [
     "M0",
     "NfaShapeError",
     "NfaSummary",
-    "NormalizedPda",
     "Pda",
     "PdaFormatError",
     "PdaTransition",

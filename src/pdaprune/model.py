@@ -20,6 +20,7 @@ EPSILON: StackString = ()
 
 # The one rule for state, symbol and transition-id names: non-empty, no
 # whitespace, no comma, no '#' (comment character of the text format).
+# The analysis marks every name it adds with '#', so none meets an input's.
 _NAME = re.compile(r"[^\s,#]+")
 
 
@@ -180,6 +181,9 @@ class Grammar:
     def __post_init__(self):
         if self.start not in self.nonterminals:
             raise ValueError("start symbol is not a declared nonterminal")
+        if both := self.nonterminals & self.terminals:
+            names = ", ".join(sorted(map(repr, both)))
+            raise ValueError(f"symbol is both a terminal and a nonterminal: {names}")
         for lhs, rhs in self.productions:
             if lhs not in self.nonterminals:
                 raise ValueError(f"production lhs {lhs!r} is not a nonterminal")

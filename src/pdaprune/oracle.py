@@ -2,8 +2,9 @@
 
 ``bounded_useful`` walks the configuration graph directly under a stack and
 a move bound; it is sound but not complete (its witnesses are definitely
-useful) and backs ``verify --bounded``.  ``exact_useless`` converts the
-automaton to a context-free grammar and reuses the classic
+useful) and backs ``verify --bounded``.  ``exact_useless`` validates the
+automaton, converts it to a context-free grammar with
+``pda_to_grammar(normalize(augment(pda)))`` and reuses the classic
 useless-production elimination; each production keeps the id of the
 transition it came from, which ties production usefulness back to
 transition usefulness.  Besides the model types, ``exact_useless`` shares
@@ -14,9 +15,8 @@ in ``tests/reference.py``.
 """
 
 from collections import deque
-from dataclasses import dataclass
 
-from .augment import AugmentedPda, augment
+from .augment import BOTTOM, FINAL, augment
 from .model import (
     Configuration,
     Grammar,
@@ -93,8 +93,7 @@ def bounded_useful(pda: Pda, max_stack: int, max_moves: int) -> frozenset[str]:
 # Normalization: pop exactly one, push at most two
 
 
-@dataclass(frozen=True)
-class NormalizedPda:
+def normalize(p0: Pda) -> Pda:
     """Single-pop, <=2-push form of an augmented PDA.
 
     Every original transition t expands into a chain of edges that all keep
@@ -102,19 +101,12 @@ class NormalizedPda:
     ``f"{t.id}#{kind}{i}"`` and each has exactly one outgoing edge, so a run
     that takes any edge of the chain takes all of it, which is firing t.  A
     transition with an empty pop string first pops and re-pushes the actual
-    stack top under the placeholder symbol ``f"{t.id}#w"``.  Valid names
-    never contain ``#``, so the added names cannot clash with the input's or
-    ``augment``'s; the result, with its repeated ids, is not itself a valid
-    ``Pda``.
+    stack top under the placeholder symbol ``f"{t.id}#w"``.  An added name
+    is an id, ``#`` and a suffix free of ``#``; input names contain no
+    ``#`` and ``augment``'s names have nothing before theirs, so no added
+    name clashes with another.  The result, with its repeated ids, is not
+    itself a valid ``Pda``.
     """
-
-    pda: Pda
-    bottom: Symbol
-    accept_state: str
-
-
-def normalize(aug: AugmentedPda) -> NormalizedPda:
-    p0 = aug.p0
     added_states: list[str] = []
     placeholders: list[Symbol] = []
     out: list[PdaTransition] = []
@@ -150,8 +142,7 @@ def normalize(aug: AugmentedPda) -> NormalizedPda:
                 out.append(PdaTransition(t.id, t.source, t.input, (x,), (w, x), m))
             chain(t, m, None, [(w, tau[-1:])] + grow)
 
-    (accept,) = p0.finals
-    npda = Pda(
+    return Pda(
         states=p0.states + tuple(added_states),
         input_alphabet=p0.input_alphabet,
         stack_alphabet=p0.stack_alphabet + tuple(placeholders),
@@ -159,23 +150,22 @@ def normalize(aug: AugmentedPda) -> NormalizedPda:
         initial=p0.initial,
         finals=p0.finals,
     )
-    return NormalizedPda(pda=npda, bottom=aug.bottom_marker, accept_state=accept)
 
 
 # ---------------------------------------------------------------------------
 # Grammar conversion and useless-production elimination
 
 
-def pda_to_grammar(npda: NormalizedPda) -> tuple[Grammar, list[str]]:
+def pda_to_grammar(p: Pda) -> tuple[Grammar, list[str]]:
     """Triple construction on the normalized PDA, restricted to needed triples.
 
     The nonterminal (p, X, q) derives the inputs of runs from (p, X·rest)
     to (q, rest).  Returns the grammar and, aligned with its productions,
     the id of the transition whose edge spawned each one.  A transition is
     useful exactly when one of its productions is, because an accepting run
-    that takes any edge of its chain takes the whole chain.
+    that takes any edge of its chain takes the whole chain.  ``p`` is
+    ``normalize``'s form of P0, so the start is (initial, BOTTOM, FINAL).
     """
-    p = npda.pda
     by_pop: dict[tuple[str, Symbol], list[PdaTransition]] = {}
     for t in p.transitions:
         if len(t.pop) != 1 or len(t.push) > 2:
@@ -186,7 +176,7 @@ def pda_to_grammar(npda: NormalizedPda) -> tuple[Grammar, list[str]]:
     # targets of push-nothing edges can appear there.
     pop_exits = sorted({t.target for t in p.transitions if not t.push})
 
-    start = (p.initial, npda.bottom, npda.accept_state)
+    start = (p.initial, BOTTOM, FINAL)
     productions: list[tuple[GrammarSymbol, tuple[GrammarSymbol, ...]]] = []
     origin: list[str] = []
     needed: set[tuple] = {start}
@@ -287,9 +277,7 @@ def exact_useless(pda: Pda) -> frozenset[str]:
     diags = validate(pda)
     if diags:
         raise ValueError("; ".join(diags))
-    aug = augment(pda)
-    npda = normalize(aug)
-    grammar, origin = pda_to_grammar(npda)
+    grammar, origin = pda_to_grammar(normalize(augment(pda)))
     dead_prods = grammar_useless(grammar)
     live = {tid for i, tid in enumerate(origin) if i not in dead_prods}
     return frozenset(t.id for t in pda.transitions if t.id not in live)

@@ -3,13 +3,14 @@
 The pipeline runs on the input as given.  Transitions that differ only in
 their input symbol cost next to nothing extra: forward evaluates their
 shared (source, pop) S-set once and their push paths coincide, so they
-add no NFA state or edge.  Verdicts on the synthetic transitions that
-augmentation adds are dropped.
+add no NFA state or edge.  ``run_pipeline`` returns the report with the
+forward result, which holds P0 as ``fwd.p0``, and the backward result;
+the report keeps the input's ids and drops P0's synthetic ``#aug`` ones.
 """
 
 from dataclasses import dataclass, replace
 
-from .augment import AugmentedPda, augment
+from .augment import BOTTOM, augment
 from .backward import BackwardResult, run_backward
 from .forward import ForwardResult, run_forward
 from .model import Pda, remove_transitions, validate
@@ -46,7 +47,6 @@ class AnalysisReport:
 @dataclass
 class PipelineResult:
     report: AnalysisReport
-    aug: AugmentedPda
     fwd: ForwardResult
     bwd: BackwardResult
 
@@ -57,13 +57,13 @@ def run_pipeline(pda: Pda, *, use_closure_index: bool = True) -> PipelineResult:
     if diags:
         raise InvalidPdaError(diags)
 
-    aug = augment(pda)
-    fwd = run_forward(aug.p0, aug.bottom_marker, use_closure_index=use_closure_index)
+    fwd = run_forward(augment(pda), BOTTOM, use_closure_index=use_closure_index)
     bwd = run_backward(fwd)
 
-    unreachable = fwd.u1 - aug.synthetic_ids
-    dead = bwd.u2 - aug.synthetic_ids
-    useful = frozenset(t.id for t in pda.transitions) - unreachable - dead
+    ids = frozenset(t.id for t in pda.transitions)
+    unreachable = fwd.u1 & ids
+    dead = bwd.u2 & ids
+    useful = ids - unreachable - dead
     report = AnalysisReport(
         unreachable=unreachable,
         dead=dead,
@@ -77,7 +77,7 @@ def run_pipeline(pda: Pda, *, use_closure_index: bool = True) -> PipelineResult:
             backward_iterations=bwd.iterations,
         ),
     )
-    return PipelineResult(report=report, aug=aug, fwd=fwd, bwd=bwd)
+    return PipelineResult(report=report, fwd=fwd, bwd=bwd)
 
 
 def analyze(pda: Pda, *, use_closure_index: bool = True) -> AnalysisReport:

@@ -81,6 +81,36 @@ def random_grammar(seed, max_nonterminals=6, max_productions=12):
     return make_grammar(productions, start=nts[0])
 
 
+def renamed(pda, names):
+    """``pda`` with every name that is a key of ``names`` replaced, in
+    every role, by the name it maps to."""
+
+    def r(name):
+        return names.get(name, name)
+
+    def rs(seq):
+        return tuple(map(r, seq))
+
+    return Pda(
+        states=rs(pda.states),
+        input_alphabet=rs(pda.input_alphabet),
+        stack_alphabet=rs(pda.stack_alphabet),
+        transitions=tuple(
+            PdaTransition(
+                id=r(t.id),
+                source=r(t.source),
+                input=None if t.input is None else r(t.input),
+                pop=rs(t.pop),
+                push=rs(t.push),
+                target=r(t.target),
+            )
+            for t in pda.transitions
+        ),
+        initial=r(pda.initial),
+        finals=frozenset(rs(pda.finals)),
+    )
+
+
 def shuffled_transitions(pda, seed):
     rng = random.Random(seed)
     transitions = list(pda.transitions)

@@ -8,7 +8,6 @@ from collections import deque
 from dataclasses import replace
 
 from pdaprune import EPSILON, M0, Configuration, PdaTransition, is_final
-from pdaprune.augment import _fresh
 from pdaprune.model import NfaShapeError
 
 
@@ -166,6 +165,16 @@ def nfa_shape_violations(nfa):
     for s in nfa.states - seen.keys():
         diags.append(f"state {s!r} unreachable from m0")
     return diags
+
+
+def _fresh(candidate, taken):
+    """``candidate``, or it with the least numeric suffix not in ``taken``."""
+    if candidate not in taken:
+        return candidate
+    i = 1
+    while f"{candidate}{i}" in taken:
+        i += 1
+    return f"{candidate}{i}"
 
 
 def support_initial_stack(pda, initial_stack):

@@ -25,6 +25,7 @@ from pdaprune import (
     run_forward,
     run_pipeline,
 )
+from pdaprune.augment import BOTTOM
 from pdaprune.model import is_final
 
 from .conftest import corpus, nfa_accepted_configs, random_grammar, shuffled_transitions
@@ -51,8 +52,8 @@ def prop1_data():
     pdas = corpus(100, start_seed=9000, max_states=4, max_trans=8, gamma_size=2)
     out = []
     for pda in pdas:
-        aug = augment(pda)
-        out.append((pda, aug, run_forward(aug.p0, aug.bottom_marker)))
+        p0 = augment(pda)
+        out.append((pda, p0, run_forward(p0, BOTTOM)))
     return out
 
 
@@ -117,12 +118,12 @@ def test_criterion_3_oracle_equivalence(corpus500, pipelines500):
 
 def test_criterion_4_bounded_configuration_equivalence(prop1_data):
     checked = 0
-    for pda, aug, fwd in prop1_data:
-        start = Configuration(aug.p0.initial, (aug.bottom_marker,))
+    for pda, p0, fwd in prop1_data:
+        start = Configuration(p0.initial, (BOTTOM,))
         for h in range(6):
             claimed = nfa_accepted_configs(fwd.nfa, h)
             for slack in (6, 10):
-                reach = bounded_reachable(aug.p0, start, h + slack)
+                reach = bounded_reachable(p0, start, h + slack)
                 explicit = {
                     (c.state, c.stack) for c in reach if len(c.stack) <= h
                 }

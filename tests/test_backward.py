@@ -9,6 +9,7 @@ from pdaprune import (
     run_backward,
     run_forward,
 )
+from pdaprune.augment import BOTTOM
 
 from .conftest import make_pda
 from .reference import reference_backward, scan_eps_on_paths, unique_gamma_path
@@ -45,10 +46,10 @@ def test_backward_empty_language_shortcut():
     )
     from pdaprune import augment
 
-    aug = augment(pda)
-    fwd = run_forward(aug.p0, aug.bottom_marker)
+    p0 = augment(pda)
+    fwd = run_forward(p0, BOTTOM)
     result = run_backward(fwd)
-    assert result.u2 == {t.id for t in aug.p0.transitions} - fwd.u1
+    assert result.u2 == {t.id for t in p0.transitions} - fwd.u1
     assert result.iterations == 0
     assert result.empty_language
 

@@ -42,3 +42,16 @@ def test_traced_analyze_records_work(spans, example1):
     assert tracer.counts["nfa.eps_edges"] == len(fwd.nfa.eps_edges)
     assert tracer.counts["nfa.states"] == len(fwd.nfa.states)
     assert tracer.counts["forward.passes"] == fwd.passes
+
+
+def test_traced_exact_oracle_records_work(spans, example1):
+    names = {module for module, _, _ in spans.SPANS + spans.COUNTERS}
+    mods = {m: importlib.import_module(f"pdaprune.{m}") for m in names}
+    with spans.Tracer(mods) as tracer:
+        mods["pruner"].analyze(example1)
+        mods["oracle"].exact_useless(example1)
+    oracle = mods["oracle"]
+    grammar, _ = oracle.pda_to_grammar(oracle.normalize(oracle.augment(example1)))
+    assert tracer.counts["oracle.productions"] == len(grammar.productions)
+    _, by_caller = tracer.self_times()
+    assert {"augment.pruner", "augment.oracle"} <= set(by_caller)

@@ -64,6 +64,9 @@ def test_nfa_dot_output(example1_file, tmp_path):
     assert main(["nfa", example1_file, "--dot", str(out_path)]) == 0
     text = out_path.read_text()
     assert text.startswith("digraph nfa {")
+    # P0's drain and final states and its bottom marker keep their '#' names.
+    for name in ("#qe", "#qf", "#bot"):
+        assert f'label="{name}"' in text, name
 
 
 def test_verify_exact_match(example1_file, capsys):

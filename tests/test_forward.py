@@ -19,6 +19,7 @@ from pdaprune import (
     parse_grammar,
     run_forward,
 )
+from pdaprune.augment import BOTTOM, DRAIN, FINAL
 
 from .conftest import GRAMMAR_DOCS, corpus, make_pda
 from .reference import (
@@ -139,8 +140,8 @@ def test_fixpoint_on_corpus_and_grammars():
     """Grouped evaluation of the (source, pop) S-sets leaves a true fixpoint."""
     pdas = corpus(60) + [cfg_to_pda(parse_grammar(g)) for g in GRAMMAR_DOCS]
     for pda in pdas:
-        aug = augment(pda)
-        assert_fixpoint(aug.p0, run_forward(aug.p0, aug.bottom_marker))
+        p0 = augment(pda)
+        assert_fixpoint(p0, run_forward(p0, BOTTOM))
 
 
 def test_each_eps_edge_emitted_about_once(monkeypatch):
@@ -168,8 +169,8 @@ def test_each_eps_edge_emitted_about_once(monkeypatch):
         return add_eps_edge(nfa, x, y)
 
     monkeypatch.setattr(NfaSummary, "add_eps_edge", counted)
-    aug = augment(pda)
-    fwd = run_forward(aug.p0, aug.bottom_marker)
+    p0 = augment(pda)
+    fwd = run_forward(p0, BOTTOM)
     assert fwd.passes > 100
     assert len(calls) <= 2 * len(fwd.nfa.eps_edges)
 
@@ -191,9 +192,9 @@ def test_evaluation_schedule_is_pinned(monkeypatch, example1, name, calls, passe
         return original(nfa, q, sigma, closure)
 
     monkeypatch.setattr(forward_module, "compute_s", counted)
-    aug = augment(pda)
-    fwd = run_forward(aug.p0, aug.bottom_marker)
-    groups = {(t.source, t.pop) for t in aug.p0.transitions}
+    p0 = augment(pda)
+    fwd = run_forward(p0, BOTTOM)
+    groups = {(t.source, t.pop) for t in p0.transitions}
     assert (len(evaluated), fwd.passes) == (calls, passes)
     assert len(evaluated) == fwd.passes * len(groups)
 
@@ -215,23 +216,21 @@ def test_compute_s_absent_state(golden):
 
 def test_forward_empty_finals():
     pda = make_pda(["q0"], [], ["a"], [("t0", "q0", None, "", "a", "q0")], "q0", [])
-    aug = augment(pda)
-    fwd = run_forward(aug.p0, aug.bottom_marker)
-    assert (M0, aug.final_state) not in fwd.nfa.eps_edges
-    drains = {
-        t.id for t in aug.p0.transitions if t.source == aug.drain_state
-    }
+    p0 = augment(pda)
+    fwd = run_forward(p0, BOTTOM)
+    assert (M0, FINAL) not in fwd.nfa.eps_edges
+    drains = {t.id for t in p0.transitions if t.source == DRAIN}
     assert drains <= fwd.u1
 
 
 def test_forward_self_loop_push():
     """Single push loop with the initial state final: everything reachable."""
     pda = make_pda(["q0"], [], ["a"], [("t0", "q0", None, "", "a", "q0")], "q0", ["q0"])
-    aug = augment(pda)
-    fwd = run_forward(aug.p0, aug.bottom_marker)
+    p0 = augment(pda)
+    fwd = run_forward(p0, BOTTOM)
     nfa = fwd.nfa
     assert fwd.u1 == frozenset()
-    assert (M0, aug.final_state) in nfa.eps_edges
+    assert (M0, FINAL) in nfa.eps_edges
     loop = nfa.gamma_into["a"]["q0"]
     assert not is_final(loop)
     assert ("q0", loop) in nfa.eps_edges

@@ -3,11 +3,13 @@ with ``ast``, and the test-only references kept out of the package's
 namespace."""
 
 import ast
+import dataclasses
+import importlib
 import inspect
 from pathlib import Path
 
 import pdaprune
-from pdaprune import backward, forward, model, oracle
+from pdaprune import backward, forward, model, oracle, pruner
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "pdaprune"
@@ -77,6 +79,20 @@ def test_backward_reads_only_the_forward_result():
     }
     assert defined == {"BackwardResult"}
     assert list(inspect.signature(backward.run_backward).parameters) == ["fwd", "pick"]
+
+
+def test_added_names_need_no_search_and_no_wrapper():
+    """``augment`` and ``normalize`` mark the names they add with ``#``, so
+    neither searches for fresh names nor wraps its automaton to carry them."""
+    augment = importlib.import_module("pdaprune.augment")
+    assert not hasattr(augment, "_fresh")
+    assert not hasattr(augment, "SYNTHETIC_ID_PREFIX")
+    for wrapper in ("AugmentedPda", "NormalizedPda"):
+        for module in (pdaprune, augment, oracle):
+            assert not hasattr(module, wrapper), (module.__name__, wrapper)
+        assert wrapper not in pdaprune.__all__
+    fields = [f.name for f in dataclasses.fields(pruner.PipelineResult)]
+    assert fields == ["report", "fwd", "bwd"]
 
 
 def test_no_test_module_imports_another():

@@ -3,7 +3,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import pdaprune.builders as builders_module
-from pdaprune import M0, Configuration, NfaSummary, cfg_to_pda, make_grammar, random_pda, validate
+from pdaprune import (
+    M0,
+    Configuration,
+    Grammar,
+    NfaSummary,
+    cfg_to_pda,
+    make_grammar,
+    random_pda,
+    validate,
+)
 from pdaprune.model import NfaShapeError, Pda, is_valid_name, remove_transitions
 
 from .conftest import make_pda
@@ -181,6 +190,13 @@ def test_builders_reject_their_own_invalid_builds(monkeypatch):
 )
 def test_name_rule(name, ok):
     assert is_valid_name(name) is ok
+
+
+def test_grammar_rejects_a_symbol_in_both_roles():
+    # grammar_useless read such a symbol as a nonterminal, and cfg_to_pda
+    # failed on it with a duplicate stack symbol.
+    with pytest.raises(ValueError, match="both a terminal and a nonterminal: 'S'"):
+        Grammar(frozenset({"S"}), frozenset({"S", "a"}), (("S", ("a",)),), "S")
 
 
 def test_step_pops_prefix(example1):

@@ -13,6 +13,7 @@ from pdaprune import (
     pda_to_grammar,
     random_pda,
 )
+from pdaprune.augment import BOTTOM, FINAL
 
 from .conftest import corpus, make_pda
 from .reference import (
@@ -72,12 +73,12 @@ def test_bounded_language_collects_symbols():
 
 
 def test_bounded_reachable_respects_start(example1):
-    aug = augment(example1)
-    start = Configuration(aug.p0.initial, (aug.bottom_marker,))
-    reach = bounded_reachable(aug.p0, start, 4)
+    p0 = augment(example1)
+    start = Configuration(p0.initial, (BOTTOM,))
+    reach = bounded_reachable(p0, start, 4)
     assert start in reach
-    assert Configuration("q3", (aug.bottom_marker,)) in reach
-    assert Configuration(aug.final_state, ()) in reach
+    assert Configuration("q3", (BOTTOM,)) in reach
+    assert Configuration(FINAL, ()) in reach
 
 
 @pytest.mark.parametrize(
@@ -103,7 +104,7 @@ def npda_for(pda):
 
 def test_normalize_shapes(example1):
     npda = npda_for(example1)
-    for t in npda.pda.transitions:
+    for t in npda.transitions:
         assert len(t.pop) == 1
         assert len(t.push) <= 2
 
@@ -112,9 +113,9 @@ def test_normalize_two_pop_chain(example1):
     # pop=ca push=eps expands to exactly two single-pop edges through one
     # added state, both keeping t6's id.
     npda = npda_for(example1)
-    (first,) = [t for t in npda.pda.transitions if t.source == "q2" and t.pop == ("c",)]
+    (first,) = [t for t in npda.transitions if t.source == "q2" and t.pop == ("c",)]
     assert first.push == () and first.target not in example1.states
-    (second,) = [t for t in npda.pda.transitions if t.source == first.target]
+    (second,) = [t for t in npda.transitions if t.source == first.target]
     assert second.pop == ("a",) and second.push == () and second.target == "q3"
     assert first.id == second.id == "t6"
 
@@ -124,7 +125,7 @@ def test_normalize_single_pop_single_push_unchanged():
         ["q0", "q1"], [], ["a"], [("t0", "q0", None, "a", "a", "q1")], "q0", ["q1"]
     )
     npda = npda_for(pda)
-    kept = [t for t in npda.pda.transitions if t.source == "q0"]
+    kept = [t for t in npda.transitions if t.source == "q0"]
     assert kept == [PdaTransition("t0", "q0", None, ("a",), ("a",), "q1")]
 
 
@@ -133,14 +134,14 @@ def test_normalize_pop_eps_uses_placeholder():
         ["q0", "q1"], [], ["d", "a"], [("t0", "q0", None, "", "da", "q1")], "q0", ["q1"]
     )
     npda = npda_for(pda)
-    fan = [t for t in npda.pda.transitions if t.source == "q0"]
+    fan = [t for t in npda.transitions if t.source == "q0"]
     # One fan edge per stack symbol of P0 (d, a and the bottom marker).
     assert len(fan) == 3
     placeholders = {t.push[0] for t in fan}
     assert len(placeholders) == 1
     w = placeholders.pop()
     assert all(t.push == (w, t.pop[0]) for t in fan)
-    spine = [t for t in npda.pda.transitions if t.pop == (w,)]
+    spine = [t for t in npda.transitions if t.pop == (w,)]
     assert len(spine) == 1
     assert {t.id for t in fan} == {spine[0].id} == {"t0"}
 
@@ -160,30 +161,30 @@ def test_normalize_edges_keep_ids_through_marked_states(example1):
         ["q1"],
     )
     for pda in [example1, taken] + corpus(40):
-        aug = augment(pda)
-        npda = normalize(aug)
-        edges = npda.pda.transitions
-        assert {t.id for t in edges} == {t.id for t in aug.p0.transitions}, pda
-        states, symbols = npda.pda.states, npda.pda.stack_alphabet
+        p0 = augment(pda)
+        npda = normalize(p0)
+        edges = npda.transitions
+        assert {t.id for t in edges} == {t.id for t in p0.transitions}, pda
+        states, symbols = npda.states, npda.stack_alphabet
         assert len(set(states)) == len(states) and len(set(symbols)) == len(symbols)
-        added = set(states) - set(aug.p0.states)
+        added = set(states) - set(p0.states)
         for q in added:
             assert sum(t.source == q for t in edges) == 1, (pda, q)
             assert len({t.id for t in edges if q in (t.source, t.target)}) == 1, (pda, q)
-        added_symbols = set(symbols) - set(aug.p0.stack_alphabet)
+        added_symbols = set(symbols) - set(p0.stack_alphabet)
         assert all("#" in name for name in added | added_symbols), pda
 
 
 def test_normalize_preserves_bounded_language(example1):
     corpus = [example1] + [random_pda(s, max_states=3, max_trans=5, gamma_size=2) for s in range(6)]
     for pda in corpus:
-        aug = augment(pda)
-        npda = normalize(aug)
-        start0 = Configuration(aug.p0.initial, (aug.bottom_marker,))
+        p0 = augment(pda)
+        npda = normalize(p0)
+        start0 = Configuration(p0.initial, (BOTTOM,))
         # Same accepted inputs when both run from the marked initial stack;
         # the normalized pda needs more moves for its expanded chains.
-        base = bounded_language(aug.p0, 3, 5, 12, start=start0)
-        norm = bounded_language(npda.pda, 3, 7, 40, start=start0)
+        base = bounded_language(p0, 3, 5, 12, start=start0)
+        norm = bounded_language(npda, 3, 7, 40, start=start0)
         assert base == norm, pda
 
 
@@ -191,9 +192,9 @@ def test_bounded_language_keeps_words_reached_late():
     # A word's configuration first reached on a long detour must still be
     # expanded when a shorter route reaches it later.
     pda = random_pda(377, max_states=3, max_trans=5, gamma_size=2)
-    aug = augment(pda)
-    start0 = Configuration(aug.p0.initial, (aug.bottom_marker,))
-    words = bounded_language(aug.p0, 3, 5, 12, start=start0)
+    p0 = augment(pda)
+    start0 = Configuration(p0.initial, (BOTTOM,))
+    words = bounded_language(p0, 3, 5, 12, start=start0)
     assert words == {(), ("y",), ("y", "y"), ("y", "y", "y")}
 
 
@@ -311,7 +312,7 @@ def test_bounded_derivations_simple():
 
 
 def test_bounded_fired_sees_all_reachable(example1):
-    aug = augment(example1)
-    start = Configuration(aug.p0.initial, (aug.bottom_marker,))
-    fired = bounded_fired(aug.p0, start, 5)
+    p0 = augment(example1)
+    start = Configuration(p0.initial, (BOTTOM,))
+    fired = bounded_fired(p0, start, 5)
     assert {"t1", "t2", "t3", "t4", "t5", "t6", "t7"} <= fired

@@ -15,6 +15,7 @@ from pdaprune import (
     run_backward,
     run_forward,
 )
+from pdaprune.augment import BOTTOM
 
 from .conftest import GRAMMAR_DOCS, corpus, nfa_accepted_configs, shuffled_transitions
 from .reference import (
@@ -32,8 +33,8 @@ from .reference import (
 
 
 def forward_of(pda):
-    aug = augment(pda)
-    return aug, run_forward(aug.p0, aug.bottom_marker)
+    p0 = augment(pda)
+    return p0, run_forward(p0, BOTTOM)
 
 
 def test_shape_invariants_hold_on_corpus():
@@ -44,8 +45,8 @@ def test_shape_invariants_hold_on_corpus():
 
 def test_path_heads_spell_reversed_push_strings():
     for pda in corpus(40):
-        aug, fwd = forward_of(pda)
-        for t in aug.p0.transitions:
+        p0, fwd = forward_of(pda)
+        for t in p0.transitions:
             if t.id in fwd.u1:
                 continue
             labels, end = unique_gamma_path(fwd.nfa, fwd.path_head[t.id])
@@ -55,8 +56,8 @@ def test_path_heads_spell_reversed_push_strings():
 
 def test_compute_s_matches_bruteforce_on_corpus():
     for pda in corpus(30):
-        aug, fwd = forward_of(pda)
-        for t in aug.p0.transitions:
+        p0, fwd = forward_of(pda)
+        for t in p0.transitions:
             got = compute_s(fwd.nfa, t.source, t.pop, fwd.closure)
             assert got == naive_s(fwd.nfa, t.source, t.pop), (pda, t)
 
@@ -128,13 +129,13 @@ def test_backward_processes_each_eps_edge_once():
         assert result.iterations <= len(fwd.nfa.eps_edges), pda
 
 
-def unreachable_by_search(aug, u1):
+def unreachable_by_search(p0, u1):
     """Explicitly unreached P0 transitions, escalating the stack cap until
     the search agrees with the claimed unreachable set or clearly refutes it."""
-    start = Configuration(aug.p0.initial, (aug.bottom_marker,))
-    all_ids = {t.id for t in aug.p0.transitions}
+    start = Configuration(p0.initial, (BOTTOM,))
+    all_ids = {t.id for t in p0.transitions}
     for cap in (8, 12, 16):
-        fired = bounded_fired(aug.p0, start, cap)
+        fired = bounded_fired(p0, start, cap)
         assert not (u1 & fired), "claimed-unreachable transition fired"
         unreached = all_ids - fired
         if unreached == u1:
@@ -144,18 +145,18 @@ def unreachable_by_search(aug, u1):
 
 def test_unreachable_set_matches_explicit_search():
     for pda in corpus(50):
-        aug, fwd = forward_of(pda)
-        assert unreachable_by_search(aug, set(fwd.u1)) == set(fwd.u1), pda
+        p0, fwd = forward_of(pda)
+        assert unreachable_by_search(p0, set(fwd.u1)) == set(fwd.u1), pda
 
 
 def test_summary_accepts_exactly_the_reachable_stacks():
     for pda in corpus(25, max_states=4, max_trans=8, gamma_size=2):
-        aug, fwd = forward_of(pda)
-        start = Configuration(aug.p0.initial, (aug.bottom_marker,))
+        p0, fwd = forward_of(pda)
+        start = Configuration(p0.initial, (BOTTOM,))
         for h in range(4):
             explicit = {
                 (c.state, c.stack)
-                for c in bounded_reachable(aug.p0, start, h + 6)
+                for c in bounded_reachable(p0, start, h + 6)
                 if len(c.stack) <= h
             }
             claimed = {
