@@ -219,9 +219,6 @@ def run_forward(p0: Pda, bottom: Symbol, *, use_closure_index: bool = True) -> F
         # at once gets an epsilon edge: a pass without one changed nothing.
         changed = False
         for (q, pop), group in groups.items():
-            if q not in nfa.states:
-                ssets[(q, pop)] = set()
-                continue
             previous = ssets.get((q, pop), ())
             s_set = ssets[(q, pop)] = compute_s(nfa, q, pop, index)
             # S-sets only grow, so an S-set of the old size is the old one.

@@ -151,18 +151,6 @@ def validate(pda: Pda) -> list[str]:
     return diags
 
 
-def remove_transitions(pda: Pda, ids: set[str]) -> Pda:
-    """Copy of ``pda`` without the transitions named in ``ids``."""
-    return Pda(
-        states=pda.states,
-        input_alphabet=pda.input_alphabet,
-        stack_alphabet=pda.stack_alphabet,
-        transitions=tuple(t for t in pda.transitions if t.id not in ids),
-        initial=pda.initial,
-        finals=pda.finals,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Context-free grammars
 

@@ -15,6 +15,7 @@ in ``tests/reference.py``.
 """
 
 from collections import deque
+from dataclasses import replace
 
 from .augment import BOTTOM, FINAL, augment
 from .model import (
@@ -96,60 +97,43 @@ def bounded_useful(pda: Pda, max_stack: int, max_moves: int) -> frozenset[str]:
 def normalize(p0: Pda) -> Pda:
     """Single-pop, <=2-push form of an augmented PDA.
 
-    Every original transition t expands into a chain of edges that all keep
-    t's id.  The states the chain passes through are named
-    ``f"{t.id}#{kind}{i}"`` and each has exactly one outgoing edge, so a run
-    that takes any edge of the chain takes all of it, which is firing t.  A
-    transition with an empty pop string first pops and re-pushes the actual
-    stack top under the placeholder symbol ``f"{t.id}#w"``.  An added name
-    is an id, ``#`` and a suffix free of ``#``; input names contain no
-    ``#`` and ``augment``'s names have nothing before theirs, so no added
-    name clashes with another.  The result, with its repeated ids, is not
-    itself a valid ``Pda``.
+    Every original transition t expands into edges that all keep t's id:
+    first edges from t's source that read t's input, then one chain through
+    added states ``f"{t.id}#{i}"`` to t's target.  Each added state has
+    exactly one outgoing edge, so a run that takes any edge of t takes all
+    of its chain, which is firing t.  A transition with an empty pop string
+    has one first edge per stack symbol X of P0, popping X and pushing it
+    back under the bottom-most symbol of t's push string; this is exact
+    because P0's stack is empty only in ``FINAL``, which has no moves.  An
+    added name is an id, ``#`` and digits; input names contain no ``#``
+    and ``augment``'s names have nothing before theirs, so no added name
+    clashes with another.  The stack alphabet is P0's.  The result, with
+    its repeated ids, is not itself a valid ``Pda``.
     """
     added_states: list[str] = []
-    placeholders: list[Symbol] = []
     out: list[PdaTransition] = []
-
-    def chain(t, source, inp, steps):
-        """Edges from ``source`` to t's target, one per (pop symbol, push)
-        step, through added states; only the first edge reads ``inp``."""
-        for i, (x, push) in enumerate(steps):
-            if i < len(steps) - 1:
-                dst = f"{t.id}#{'push' if push else 'pop'}{i}"
-                added_states.append(dst)
-            else:
-                dst = t.target
-            out.append(PdaTransition(t.id, source, inp, (x,), push, dst))
-            source, inp = dst, None
-
     for t in p0.transitions:
-        # The push steps leave t.push in place of the last symbol popped: the
-        # first seeds its bottom-most symbol, and each further step grows the
-        # stack by one, re-pushing the symbol it popped.
+        # The steps leave t.push in place of the last symbol popped: the
+        # first push seeds its bottom-most symbol, and each further step
+        # grows the stack by one, re-pushing the symbol it popped.
         tau = t.push
-        grow = [(tau[i], (tau[i - 1], tau[i])) for i in range(len(tau) - 1, 0, -1)]
+        grow = [((tau[i],), (tau[i - 1], tau[i])) for i in range(len(tau) - 1, 0, -1)]
         if t.pop:
-            pops = [(x, ()) for x in t.pop[:-1]]
-            chain(t, t.source, t.input, pops + [(t.pop[-1], tau[-1:])] + grow)
+            steps = [((x,), ()) for x in t.pop[:-1]] + [(t.pop[-1:], tau[-1:])] + grow
+            first = [steps.pop(0)]
         else:
-            # Pop whatever is on top and re-push it under the placeholder,
-            # which the chain then pops.
-            w, m = f"{t.id}#w", f"{t.id}#fan0"
-            placeholders.append(w)
-            added_states.append(m)
-            for x in p0.stack_alphabet:
-                out.append(PdaTransition(t.id, t.source, t.input, (x,), (w, x), m))
-            chain(t, m, None, [(w, tau[-1:])] + grow)
-
-    return Pda(
-        states=p0.states + tuple(added_states),
-        input_alphabet=p0.input_alphabet,
-        stack_alphabet=p0.stack_alphabet + tuple(placeholders),
-        transitions=tuple(out),
-        initial=p0.initial,
-        finals=p0.finals,
-    )
+            first = [((x,), tau[-1:] + (x,)) for x in p0.stack_alphabet]
+            steps = grow
+        # The first edges lead into one chain t.id#0, t.id#1, ... to t.target.
+        source = f"{t.id}#0" if steps else t.target
+        for pop, push in first:
+            out.append(PdaTransition(t.id, t.source, t.input, pop, push, source))
+        for i, (pop, push) in enumerate(steps, 1):
+            added_states.append(source)
+            target = f"{t.id}#{i}" if i < len(steps) else t.target
+            out.append(PdaTransition(t.id, source, None, pop, push, target))
+            source = target
+    return replace(p0, states=p0.states + tuple(added_states), transitions=tuple(out))
 
 
 # ---------------------------------------------------------------------------

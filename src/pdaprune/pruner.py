@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from .augment import BOTTOM, augment
 from .backward import BackwardResult, run_backward
 from .forward import ForwardResult, run_forward
-from .model import Pda, remove_transitions, validate
+from .model import Pda, validate
 
 
 class InvalidPdaError(ValueError):
@@ -99,7 +99,8 @@ def prune(pda: Pda, report: AnalysisReport, *, drop_orphan_states: bool = False)
         parts != {t.id for t in pda.transitions}
     ):
         raise ValueError("report does not partition this pda's transitions")
-    pruned = remove_transitions(pda, useless)
+    kept = tuple(t for t in pda.transitions if t.id not in useless)
+    pruned = replace(pda, transitions=kept)
     if drop_orphan_states:
         touched = {pda.initial}
         for t in pruned.transitions:

@@ -5,9 +5,8 @@ code with the optimized paths it checks.
 """
 
 from collections import deque
-from dataclasses import replace
 
-from pdaprune import EPSILON, M0, Configuration, PdaTransition, is_final
+from pdaprune import M0, Configuration, is_final
 from pdaprune.model import NfaShapeError
 
 
@@ -165,37 +164,6 @@ def nfa_shape_violations(nfa):
     for s in nfa.states - seen.keys():
         diags.append(f"state {s!r} unreachable from m0")
     return diags
-
-
-def _fresh(candidate, taken):
-    """``candidate``, or it with the least numeric suffix not in ``taken``."""
-    if candidate not in taken:
-        return candidate
-    i = 1
-    while f"{candidate}{i}" in taken:
-        i += 1
-    return f"{candidate}{i}"
-
-
-def support_initial_stack(pda, initial_stack):
-    """Wrap ``pda`` so runs start from ``initial_stack`` instead of empty.
-
-    Identity when the requested stack is empty.
-    """
-    if not initial_stack:
-        return pda
-    for a in initial_stack:
-        if a not in pda.stack_alphabet:
-            raise ValueError(f"initial stack symbol {a!r} outside stack alphabet")
-    start = _fresh("__start", set(pda.states))
-    tid = _fresh("__init", {t.id for t in pda.transitions})
-    seed = PdaTransition(tid, start, None, EPSILON, initial_stack, pda.initial)
-    return replace(
-        pda,
-        states=pda.states + (start,),
-        transitions=pda.transitions + (seed,),
-        initial=start,
-    )
 
 
 def unique_gamma_path(nfa, y):

@@ -1,8 +1,7 @@
-from pdaprune import Configuration, analyze, augment, validate
+from pdaprune import analyze, augment, validate
 from pdaprune.augment import BOTTOM, DRAIN, FINAL
 
 from .conftest import corpus, make_pda, renamed
-from .reference import step, support_initial_stack
 
 
 def assert_faults_only_added_names(p0):
@@ -122,21 +121,3 @@ def test_augment_adds_only_marked_names(example1):
             assert {names[tid] for tid in getattr(report, part)} == getattr(other, part), pda
         assert (report.empty_language, report.stats) == (other.empty_language, other.stats)
 
-
-def test_support_initial_stack_identity(example1):
-    assert support_initial_stack(example1, ()) is example1
-
-
-def test_support_initial_stack_single(example1):
-    wrapped = support_initial_stack(example1, ("a",))
-    assert validate(wrapped) == []
-    seed = [t for t in wrapped.transitions if t.source == wrapped.initial]
-    assert len(seed) == 1
-    assert seed[0].pop == () and seed[0].push == ("a",) and seed[0].target == "q0"
-
-
-def test_support_initial_stack_via_step():
-    pda = make_pda(["q0"], [], ["a", "b"], [], "q0", ["q0"])
-    wrapped = support_initial_stack(pda, ("a", "b"))
-    succ = step(wrapped, Configuration(wrapped.initial, ()))
-    assert {cfg for _, cfg in succ} == {Configuration("q0", ("a", "b"))}

@@ -13,7 +13,7 @@ from pdaprune import (
     random_pda,
     validate,
 )
-from pdaprune.model import NfaShapeError, Pda, is_valid_name, remove_transitions
+from pdaprune.model import NfaShapeError, Pda, is_valid_name
 
 from .conftest import make_pda
 from .reference import nfa_shape_violations, step
@@ -231,12 +231,6 @@ def test_step_ignores_stack_below_pop(suffix):
     base = step(pda, Configuration("q0", ("c", "a")))
     lifted = step(pda, Configuration("q0", ("c", "a") + suffix))
     assert {(tid, Configuration(c.state, c.stack + suffix)) for tid, c in base} == lifted
-
-
-def test_remove_transitions(example1):
-    slim = remove_transitions(example1, {"t3"})
-    assert tuple(t.id for t in slim.transitions) == ("t1", "t2", "t4", "t5", "t6", "t7")
-    assert slim.states == example1.states
 
 
 def test_nfa_shape_guards():

@@ -129,21 +129,24 @@ def test_normalize_single_pop_single_push_unchanged():
     assert kept == [PdaTransition("t0", "q0", None, ("a",), ("a",), "q1")]
 
 
-def test_normalize_pop_eps_uses_placeholder():
+def test_normalize_pop_eps_pops_each_top_symbol():
     pda = make_pda(
         ["q0", "q1"], [], ["d", "a"], [("t0", "q0", None, "", "da", "q1")], "q0", ["q1"]
     )
-    npda = npda_for(pda)
-    fan = [t for t in npda.transitions if t.source == "q0"]
-    # One fan edge per stack symbol of P0 (d, a and the bottom marker).
-    assert len(fan) == 3
-    placeholders = {t.push[0] for t in fan}
-    assert len(placeholders) == 1
-    w = placeholders.pop()
-    assert all(t.push == (w, t.pop[0]) for t in fan)
-    spine = [t for t in npda.transitions if t.pop == (w,)]
-    assert len(spine) == 1
-    assert {t.id for t in fan} == {spine[0].id} == {"t0"}
+    p0 = augment(pda)
+    npda = normalize(p0)
+    assert npda.stack_alphabet == p0.stack_alphabet
+    # One first edge per stack symbol X of P0 (d, a and the bottom marker),
+    # each pushing X back under a, the bottom-most pushed symbol.
+    first = [t for t in npda.transitions if t.source == "q0"]
+    assert [t.pop for t in first] == [(x,) for x in p0.stack_alphabet]
+    assert all(t.push == ("a", t.pop[0]) for t in first)
+    (mid,) = {t.target for t in first}
+    assert mid not in p0.states
+    # The chain then grows a into da.
+    (grow,) = [t for t in npda.transitions if t.source == mid]
+    assert (grow.pop, grow.push, grow.target) == (("a",), ("d", "a"), "q1")
+    assert {t.id for t in first} == {grow.id} == {"t0"}
 
 
 def test_normalize_edges_keep_ids_through_marked_states(example1):
@@ -171,8 +174,12 @@ def test_normalize_edges_keep_ids_through_marked_states(example1):
         for q in added:
             assert sum(t.source == q for t in edges) == 1, (pda, q)
             assert len({t.id for t in edges if q in (t.source, t.target)}) == 1, (pda, q)
-        added_symbols = set(symbols) - set(p0.stack_alphabet)
-        assert all("#" in name for name in added | added_symbols), pda
+        assert symbols == p0.stack_alphabet, pda
+        assert all("#" in name for name in added), pda
+        for t in p0.transitions:
+            grow = max(len(t.push) - 1, 0)
+            expected = (len(t.pop) if t.pop else len(symbols)) + grow
+            assert sum(e.id == t.id for e in edges) == expected, (pda, t)
 
 
 def test_normalize_preserves_bounded_language(example1):

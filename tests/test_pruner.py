@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from pdaprune import (
@@ -82,8 +84,8 @@ def test_prune_example1(example1):
     report = analyze(example1)
     pruned = prune(example1, report)
     assert tuple(t.id for t in pruned.transitions) == ("t1", "t2", "t4", "t5", "t6", "t7")
-    assert pruned.states == example1.states
-    assert pruned.finals == example1.finals
+    # Only the transitions change.
+    assert replace(pruned, transitions=example1.transitions) == example1
 
 
 def test_prune_identity_when_all_useful(example1):
