@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 from .augment import augment
 from .backward import BackwardResult, run_backward
 from .builders import cfg_to_pda, random_pda
-from .dot import nfa_to_dot, pda_to_dot
+from .dot import nfa_to_dot
 from .forward import EpsClosure, ForwardResult, compute_s, establish_path, run_forward
 from .model import (
     EPSILON,
@@ -48,7 +48,7 @@ from .pruner import (
     prune,
     run_pipeline,
 )
-from .textio import PdaFormatError, parse_grammar, parse_pda, print_grammar, print_pda
+from .textio import PdaFormatError, parse_grammar, parse_pda, print_pda
 
 __all__ = [
     "AnalysisReport",
@@ -82,9 +82,7 @@ __all__ = [
     "normalize",
     "parse_grammar",
     "parse_pda",
-    "pda_to_dot",
     "pda_to_grammar",
-    "print_grammar",
     "print_pda",
     "prune",
     "random_pda",

@@ -74,9 +74,6 @@ def run_backward(
         qualifies when it joins forward level i to backward level i.  Every
         edge returned is removed from ``unseen``.
         """
-        hop = gamma_out.get(x)
-        if hop is None or hop[0] != pop[-1]:
-            return []
         rest = pop[:-1]
         entry = bwd_levels.get((q, rest))
         if entry is None:
@@ -87,7 +84,8 @@ def run_backward(
         bwd, live = entry
         if not any(live):
             return []
-        z = hop[1]
+        # x is in S(q, pop), so its one gamma edge reads pop[-1].
+        z = gamma_out[x][1]
         levels = fwd_levels.get((z, rest))
         if levels is None:
             # Level i holds the states reachable from z after i label hops;

@@ -1,36 +1,20 @@
-"""DOT (graphviz) export for automata and summary NFAs.
+"""DOT (graphviz) export of the stack-summary NFA, for the ``nfa`` command.
 
-Final states are drawn as double circles, the initial state gets an
-incoming arrow from a point-shaped helper node, and the empty string is
-rendered as "eps".
+Final states (the PDA's own states) are drawn as double circles, m0 gets
+an incoming arrow from a point-shaped helper node, and epsilon edges are
+dashed and labeled "eps".
 """
 
-from .model import M0, NfaSummary, Pda, State, is_final
+from .model import M0, NfaSummary, State, is_final
 
 
 # The helper node behind the initial arrow.  Its ID holds a space, which
-# no state name can, so it never merges with a state's node.
+# no node ID ``s<i>`` does, so it never merges with a state's node.
 _START = '"initial arrow"'
 
 
 def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def pda_to_dot(pda: Pda) -> str:
-    lines = ["digraph pda {", "  rankdir=LR;", f'  {_START} [shape=point, label=""];']
-    for q in pda.states:
-        shape = "doublecircle" if q in pda.finals else "circle"
-        lines.append(f"  {_quote(q)} [shape={shape}];")
-    lines.append(f"  {_START} -> {_quote(pda.initial)};")
-    for t in pda.transitions:
-        inp = t.input if t.input is not None else "eps"
-        pop = ",".join(t.pop) or "eps"
-        push = ",".join(t.push) or "eps"
-        label = _quote(f"{t.id}: {inp} : {pop}/{push}")
-        lines.append(f"  {_quote(t.source)} -> {_quote(t.target)} [label={label}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def _order(s: State) -> tuple:

@@ -39,12 +39,6 @@ class PdaTransition:
     push: StackString
     target: str
 
-    def __str__(self) -> str:
-        inp = self.input if self.input is not None else "eps"
-        pop = ",".join(self.pop) or "eps"
-        push = ",".join(self.push) or "eps"
-        return f"{self.id}: {self.source} --{inp}, {pop}/{push}--> {self.target}"
-
 
 @dataclass(frozen=True)
 class Pda:

@@ -197,20 +197,3 @@ def parse_grammar(text: str) -> Grammar:
     if not productions and start is None:
         raise PdaFormatError("empty grammar", 1 + text.count("\n"))
     return make_grammar(productions, start)
-
-
-def print_grammar(g: Grammar) -> str:
-    """The grammar document of ``g``; raises ValueError when it would read
-    back as another grammar, as with a tuple symbol, a symbol holding a
-    space, ``|`` or ``#``, or a nonterminal without productions."""
-    lines = [f"%start {g.start}"]
-    for lhs, rhs in g.productions:
-        lines.append(f"{lhs} -> {' '.join(str(s) for s in rhs)}".rstrip())
-    text = "\n".join(lines) + "\n"
-    try:
-        same = parse_grammar(text) == g
-    except PdaFormatError:
-        same = False
-    if not same:
-        raise ValueError("grammar has no document that reads back as the same grammar")
-    return text

@@ -104,3 +104,20 @@ def test_cfg_to_pda_agrees_with_grammar_verdicts():
     for i in range(len(g.productions)):
         assert (f"prod{i}" in report.useless) == (i in useless_prods), i
     assert exact_useless(pda) == report.useless
+
+
+def test_cfg_to_pda_end_marker_avoids_grammar_symbols():
+    g = parse_grammar("S -> __end S | a\n__end -> b\nC -> c\n")
+    pda = cfg_to_pda(g)
+    assert "__end_" in pda.stack_alphabet
+    assert next(t for t in pda.transitions if t.id == "accept").pop == ("__end_",)
+    useless_prods = grammar_useless(g)
+    report = analyze(pda)
+    for i in range(len(g.productions)):
+        assert (f"prod{i}" in report.useless) == (i in useless_prods), i
+    assert useless_prods
+
+
+def test_cfg_to_pda_rejects_non_string_symbols():
+    with pytest.raises(ValueError, match="string symbols"):
+        cfg_to_pda(make_grammar([("S", (("a", 1),))]))

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -36,6 +37,22 @@ def test_analyze_empty_language_exit_code(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 3
     out = capsys.readouterr().out
     assert "language-empty: yes" in out
+
+
+def test_analyze_reports_unreachable(tmp_path, capsys):
+    # Nothing enters q2, so t1 never fires.
+    path = tmp_path / "orphan.pda"
+    path.write_text(
+        "state q0 initial\nstate q1 final\nstate q2\n"
+        "trans t0 q0 - - - q1\ntrans t1 q2 - - - q1\n"
+    )
+    assert main(["analyze", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "pdaprune-report 1",
+        "USELESS t1 unreachable",
+        "# 2 transitions: 1 useful, 1 unreachable, 0 dead",
+        "# language-empty: no",
+    ]
 
 
 def test_analyze_stats_flag(example1_file, capsys):
@@ -137,6 +154,21 @@ def test_verify_mismatch_exit_4(example1_file, capsys, monkeypatch):
     monkeypatch.setattr(cli_module, "exact_useless", lambda pda: frozenset({"t1"}))
     assert main(["verify", example1_file, "--exact"]) == 4
     assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_verify_bounded_mismatch_exit_4(example1_file, capsys, monkeypatch):
+    import pdaprune.cli as cli_module
+
+    def all_dead(pda):
+        report = pdaprune.analyze(pda)
+        ids = frozenset(t.id for t in pda.transitions)
+        return dataclasses.replace(report, unreachable=frozenset(), dead=ids, useful=frozenset())
+
+    monkeypatch.setattr(cli_module, "analyze", all_dead)
+    assert main(["verify", example1_file, "--bounded", "4", "8"]) == 4
+    assert capsys.readouterr().out == (
+        "MISMATCH: witnessed-useful classified useless: t1 t2 t4 t5 t6 t7\n"
+    )
 
 
 def test_usage_error_exit_1(capsys):

@@ -9,7 +9,7 @@ import inspect
 from pathlib import Path
 
 import pdaprune
-from pdaprune import backward, forward, model, oracle, pruner
+from pdaprune import backward, dot, forward, model, oracle, pruner, textio
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "pdaprune"
@@ -101,3 +101,23 @@ def test_no_test_module_imports_another():
         for name in imported_modules(path, "tests"):
             parts = name.split(".")
             assert not any(part.startswith("test_") for part in parts[:2]), (path.name, name)
+
+
+def test_each_output_has_one_writer():
+    """The CLI writes a PDA with ``print_pda`` and the summary NFA with
+    ``nfa_to_dot``; no second writer of either is kept."""
+    for name in ("pda_to_dot", "print_grammar"):
+        for module in (pdaprune, dot, textio):
+            assert not hasattr(module, name), (module.__name__, name)
+        assert name not in pdaprune.__all__
+    assert "__str__" not in vars(model.PdaTransition)
+
+
+def test_all_lists_exactly_the_public_names():
+    public = {
+        name
+        for name, obj in vars(pdaprune).items()
+        if not name.startswith("_") and not inspect.ismodule(obj)
+    }
+    assert pdaprune.__all__ == sorted(pdaprune.__all__)
+    assert set(pdaprune.__all__) == public

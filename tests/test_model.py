@@ -199,6 +199,27 @@ def test_grammar_rejects_a_symbol_in_both_roles():
         Grammar(frozenset({"S"}), frozenset({"S", "a"}), (("S", ("a",)),), "S")
 
 
+@pytest.mark.parametrize(
+    "build,needle",
+    [
+        (lambda: Grammar(frozenset({"S"}), frozenset(), (), "T"), "start symbol"),
+        (
+            lambda: Grammar(frozenset({"S"}), frozenset({"a"}), (("a", ()),), "S"),
+            "production lhs 'a' is not a nonterminal",
+        ),
+        (
+            lambda: Grammar(frozenset({"S"}), frozenset({"a"}), (("S", ("b",)),), "S"),
+            "undeclared symbol 'b'",
+        ),
+        (lambda: make_grammar([]), "cannot infer a start symbol"),
+    ],
+    ids=["undeclared-start", "terminal-lhs", "undeclared-rhs", "empty"],
+)
+def test_grammar_construction_errors(build, needle):
+    with pytest.raises(ValueError, match=needle):
+        build()
+
+
 def test_step_pops_prefix(example1):
     # q2 with stack [c,a]: only t6 applies, leaving the empty stack.
     got = step(example1, Configuration("q2", ("c", "a")))

@@ -272,6 +272,19 @@ def test_exact_useless_empty_finals():
     assert exact_useless(pda) == {"t0"}
 
 
+def test_exact_useless_rejects_an_invalid_pda():
+    pda = make_pda(["q0"], [], [], [("t0", "q0", None, "", "", "q9")], "q0", ["q0"])
+    with pytest.raises(ValueError, match="q9"):
+        exact_useless(pda)
+
+
+def test_pda_to_grammar_rejects_a_non_normalized_pda():
+    # t0 pops two symbols; ``normalize`` would have split it.
+    pda = make_pda(["q0"], [], ["a"], [("t0", "q0", None, "aa", "", "q0")], "q0", ["q0"])
+    with pytest.raises(ValueError, match="transition t0 is not in normalized form"):
+        pda_to_grammar(pda)
+
+
 def test_exact_useless_matches_analyze_smoke():
     for seed in range(40):
         pda = random_pda(

@@ -3,18 +3,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdaprune import (
-    Grammar,
     Pda,
     PdaFormatError,
     PdaTransition,
-    augment,
     cfg_to_pda,
-    make_grammar,
-    normalize,
     parse_grammar,
     parse_pda,
-    pda_to_grammar,
-    print_grammar,
     print_pda,
     random_pda,
     validate,
@@ -62,6 +56,10 @@ def test_print_is_canonical_fixpoint():
         ("flip q0\n", "unknown directive"),
         ("state q0 initial\nstack -\n", "invalid stack symbol name: '-'"),
         ("state q0 initial\ninput -\n", "invalid input symbol name: '-'"),
+        ("state\n", "state needs a name"),
+        ("state q0 initial\nstack a a\n", "duplicate stack symbol 'a'"),
+        ("state q0 initial\nstack a b\ntrans t0 q0 - a,,b - q0\n", "empty symbol in pop list"),
+        ("state q0 initial\ntrans t0 q9 - - - q0\n", "unknown state: 'q9'"),
     ],
 )
 def test_parse_errors(doc, needle):
@@ -241,33 +239,20 @@ def test_roundtrip_generated(seed):
 def test_grammar_roundtrip():
     doc = "%start S\nS -> a S\nS ->\nB -> b\n"
     g = parse_grammar(doc)
-    assert print_grammar(g) == doc
     assert g.start == "S"
     assert g.productions == (("S", ("a", "S")), ("S", ()), ("B", ("b",)))
     assert g.terminals == {"a", "b"}
 
 
-@pytest.mark.parametrize(
-    "grammar",
-    [
-        make_grammar([("S", ("a|b",))]),
-        make_grammar([("S", ("a#b",))]),
-        # A has no production, so its text would read back as a terminal.
-        Grammar(frozenset({"S", "A"}), frozenset(), (("S", ("A",)),), "S"),
-        pda_to_grammar(normalize(augment(random_pda(3))))[0],
-    ],
-    ids=["bar", "hash", "bare-nonterminal", "tuple-symbols"],
-)
-def test_print_grammar_refuses_text_that_reads_back_differently(grammar):
-    with pytest.raises(ValueError):
-        print_grammar(grammar)
-
-
-def test_print_grammar_roundtrips():
+def test_parse_grammar_reads_written_documents():
+    """A document written production by production, with ``%start``, parses
+    back to the grammar it was written from."""
     grammars = [parse_grammar(doc) for doc in GRAMMAR_DOCS]
     grammars += [random_grammar(seed) for seed in range(100)]
     for g in grammars:
-        assert parse_grammar(print_grammar(g)) == g
+        lines = [f"%start {g.start}"]
+        lines += [f"{lhs} -> {' '.join(rhs)}" for lhs, rhs in g.productions]
+        assert parse_grammar("\n".join(lines) + "\n") == g
 
 
 def test_grammar_alternatives_split():
@@ -295,3 +280,5 @@ def test_grammar_errors():
         parse_grammar("%start_symbol T\nS -> a\n")
     with pytest.raises(PdaFormatError):
         parse_grammar("%starter S\nS -> a\n")
+    with pytest.raises(PdaFormatError, match="single lhs symbol"):
+        parse_grammar("A B -> c\n")
