@@ -27,18 +27,16 @@ evaluation, never the evaluation itself.
 its last level, and the backward path scans take their backward levels from
 it (their forward levels ``run_backward`` builds from ``closure.fro`` rows).
 It hops gamma edges through the NFA's per-label index, intersecting a level
-with the targets of that label's edges.  For a one-symbol pop the only
-level is q's epsilon-closure row, which ``compute_s`` intersects where it
+with the targets of that label's edges, and widens each hop with the
+``closure.to`` rows of its states.  The first level is q's closure row
+itself, so for a one-symbol pop ``compute_s`` intersects that row where it
 stands instead of copying it.  Closure rows, like the S-sets in
 ``ForwardResult.ssets``, are read and never written by their readers.
 
 The epsilon-closure index is the first of the two documented
 optimizations: it replaces per-query backward scans over epsilon edges.
-It is always maintained, because the backward procedure reads this NFA and
-its closures as built, without copying or re-indexing them;
-``use_closure_index=False`` only makes ``compute_s`` find epsilon
-predecessors by a fixpoint over the epsilon edges instead of reading it,
-to cross-check results.  Both modes must agree.
+The backward procedure reads this NFA and its closures as built, without
+copying or re-indexing them.
 """
 
 from dataclasses import dataclass, field
@@ -88,48 +86,28 @@ class EpsClosure:
                 row.update(targets)
 
 
-def eps_backward_set(
-    nfa: NfaSummary, targets: set[State], closure: EpsClosure | None
-) -> set[State]:
-    """States with an epsilon-only path into ``targets`` (reflexive).
-
-    Reads ``closure`` without creating entries; without one, a fixpoint over
-    ``nfa.eps_out`` finds the predecessors.
-    """
-    out = set(targets)
-    if closure is not None:
-        for t in targets:
-            out.update(closure.to.get(t, ()))
-        return out
-    while True:
-        new = {x for x, ys in nfa.eps_out.items() if x not in out and not ys.isdisjoint(out)}
-        if not new:
-            return out
-        out |= new
-
-
 def pop_levels(
-    nfa: NfaSummary, q: State, labels: StackString, closure: EpsClosure | None
+    nfa: NfaSummary, q: State, labels: StackString, closure: EpsClosure
 ) -> list[set[State]]:
     """Level i: the states that read ``labels[:i]`` into q, epsilon-closed.
 
     ``labels`` is top-first, so ``labels[0]`` is read last; epsilon moves
-    may come anywhere on the way.
+    may come anywhere on the way.  Level 0 is q's ``closure.to`` row, not
+    a copy.
     """
-    levels = [eps_backward_set(nfa, {q}, closure)]
+    to = closure.to
+    levels = [to.get(q, {q})]
     for label in labels:
         into = nfa.gamma_into.get(label, {})
-        hop = {into[t] for t in levels[-1] & into.keys()}
-        levels.append(eps_backward_set(nfa, hop, closure) if hop else hop)
+        level: set[State] = set()
+        for t in levels[-1] & into.keys():
+            s = into[t]
+            level.update(to.get(s, (s,)))
+        levels.append(level)
     return levels
 
 
-def compute_s(
-    nfa: NfaSummary,
-    q: str,
-    sigma: StackString,
-    closure: EpsClosure | None = None,
-) -> set[State]:
+def compute_s(nfa: NfaSummary, q: str, sigma: StackString, closure: EpsClosure) -> set[State]:
     """The set S(q, sigma) of NFA states from which popping sigma reaches q.
 
     The sources of sigma[-1]-edges into the last pop level of sigma[:-1]:
@@ -144,11 +122,7 @@ def compute_s(
     into = nfa.gamma_into.get(sigma[-1])
     if into is None:
         return set()
-    if len(sigma) == 1 and closure is not None:
-        # The one level is q's closure row, read in place.
-        level = closure.to.get(q, (q,))
-    else:
-        level = pop_levels(nfa, q, sigma[:-1], closure)[-1]
+    level = pop_levels(nfa, q, sigma[:-1], closure)[-1]
     return {into[t] for t in into.keys() & level}
 
 
@@ -193,7 +167,7 @@ class ForwardResult:
     p0: Pda = field(repr=False)
 
 
-def run_forward(p0: Pda, bottom: Symbol, *, use_closure_index: bool = True) -> ForwardResult:
+def run_forward(p0: Pda, bottom: Symbol) -> ForwardResult:
     """Saturate the NFA for P0 and return it with the unreachable set U1.
 
     P0 starts in its initial state with the bottom marker as the whole
@@ -202,7 +176,6 @@ def run_forward(p0: Pda, bottom: Symbol, *, use_closure_index: bool = True) -> F
     nfa = NfaSummary()
     nfa.add_gamma_edge(M0, bottom, p0.initial)
     closure = EpsClosure()
-    index = closure if use_closure_index else None
 
     groups: dict[tuple[str, StackString], list[PdaTransition]] = {}
     for t in p0.transitions:
@@ -220,7 +193,7 @@ def run_forward(p0: Pda, bottom: Symbol, *, use_closure_index: bool = True) -> F
         changed = False
         for (q, pop), group in groups.items():
             previous = ssets.get((q, pop), ())
-            s_set = ssets[(q, pop)] = compute_s(nfa, q, pop, index)
+            s_set = ssets[(q, pop)] = compute_s(nfa, q, pop, closure)
             # S-sets only grow, so an S-set of the old size is the old one.
             if len(s_set) == len(previous):
                 continue

@@ -51,13 +51,13 @@ class PipelineResult:
     bwd: BackwardResult
 
 
-def run_pipeline(pda: Pda, *, use_closure_index: bool = True) -> PipelineResult:
+def run_pipeline(pda: Pda) -> PipelineResult:
     """augment -> forward -> backward, with verdicts on original ids."""
     diags = validate(pda)
     if diags:
         raise InvalidPdaError(diags)
 
-    fwd = run_forward(augment(pda), BOTTOM, use_closure_index=use_closure_index)
+    fwd = run_forward(augment(pda), BOTTOM)
     bwd = run_backward(fwd)
 
     ids = frozenset(t.id for t in pda.transitions)
@@ -80,9 +80,9 @@ def run_pipeline(pda: Pda, *, use_closure_index: bool = True) -> PipelineResult:
     return PipelineResult(report=report, fwd=fwd, bwd=bwd)
 
 
-def analyze(pda: Pda, *, use_closure_index: bool = True) -> AnalysisReport:
+def analyze(pda: Pda) -> AnalysisReport:
     """Partition the transitions of ``pda`` into unreachable, dead and useful."""
-    return run_pipeline(pda, use_closure_index=use_closure_index).report
+    return run_pipeline(pda).report
 
 
 def prune(pda: Pda, report: AnalysisReport, *, drop_orphan_states: bool = False) -> Pda:

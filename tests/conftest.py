@@ -1,10 +1,12 @@
 import random
+from contextlib import contextmanager
 
 import pytest
 
+import pdaprune.forward as forward_module
 from pdaprune import M0, Pda, PdaTransition, is_final, make_grammar, random_pda, run_forward
 
-from .reference import bfs
+from .reference import bfs, naive_s
 
 
 def make_pda(states, inputs, stack, transitions, initial, finals):
@@ -193,3 +195,26 @@ def example1_p0_restricted():
 def golden(example1_p0_restricted):
     """Forward result on the restricted example: the golden summary NFA."""
     return run_forward(example1_p0_restricted, "b0")
+
+
+@pytest.fixture
+def brute_force_s(monkeypatch):
+    """A context manager under which forward computes every S-set with the
+    brute-force ``naive_s`` in place of the closure-indexed ``compute_s``.
+
+    It yields the list of (q, sigma) keys ``naive_s`` was called with, so a
+    test can check that the swap reached ``run_forward``.
+    """
+    calls = []
+
+    def counted(nfa, q, sigma, closure):
+        calls.append((q, sigma))
+        return naive_s(nfa, q, sigma, closure)
+
+    @contextmanager
+    def swapped():
+        with monkeypatch.context() as m:
+            m.setattr(forward_module, "compute_s", counted)
+            yield calls
+
+    return swapped

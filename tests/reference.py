@@ -206,20 +206,35 @@ def pop_path_moves(nfa, labels):
     return successors
 
 
-def naive_s(nfa, q, sigma):
-    """Brute-force S(q, sigma): the sources of sigma[-1]-edges whose target
-    reads the rest of sigma, bottom-most first, into q."""
+def naive_s(nfa, q, sigma, closure=None):
+    """Brute-force S(q, sigma): the states that read sigma into q, bottom-most
+    symbol first, with epsilon edges anywhere after the first symbol.
+
+    One backward search over (state, labels read) pairs from (q, 0): an
+    epsilon edge into the state keeps the count, the ``sigma[i]``-edge into
+    it raises it to i + 1, and a node that has read all of sigma is not
+    expanded.  Epsilon predecessors come from ``eps_out`` reversed, not from
+    a closure index; ``closure`` is ignored, so that this function can stand
+    in for ``forward.compute_s``.
+    """
     if q not in nfa.states:
         return set()
-    if not sigma:
-        return {q}
-    labels = tuple(reversed(sigma[:-1]))
-    step = pop_path_moves(nfa, labels)
-    return {
-        src
-        for src, (label, dst) in nfa.gamma_out.items()
-        if label == sigma[-1] and (q, len(labels)) in bfs((dst, 0), step)
-    }
+    eps_into = {}
+    for x, ys in nfa.eps_out.items():
+        for y in ys:
+            eps_into.setdefault(y, []).append(x)
+
+    def predecessors(node):
+        s, i = node
+        if i == len(sigma):
+            return []
+        out = [(x, i) for x in eps_into.get(s, ())]
+        src = nfa.gamma_into.get(sigma[i], {}).get(s)
+        if src is not None:
+            out.append((src, i + 1))
+        return out
+
+    return {s for s, i in bfs((q, 0), predecessors) if i == len(sigma)}
 
 
 def closure_row(rows, s):

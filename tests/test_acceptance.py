@@ -169,7 +169,7 @@ def test_criterion_7_grammar_cross_check():
     passline(7, "production and transition verdicts agree on 100 grammars")
 
 
-def test_criterion_8_performance_and_optimization_correctness():
+def test_criterion_8_performance_and_optimization_correctness(brute_force_s):
     pda = random_pda(
         2024, max_states=50, max_trans=320, max_pop_push=2, gamma_size=4, final_prob=0.1
     )
@@ -178,12 +178,14 @@ def test_criterion_8_performance_and_optimization_correctness():
     report = analyze(pda)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
-    unoptimized = analyze(pda, use_closure_index=False)
+    with brute_force_s() as calls:
+        unoptimized = analyze(pda)
+    assert len(calls) > 0
     assert unoptimized == report
     passline(
         8,
         f"{len(pda.transitions)} transitions / {len(pda.states)} states analyzed in "
-        f"{elapsed:.2f} s; closure index off gives identical results "
+        f"{elapsed:.2f} s; brute-force S-sets in place of compute_s give identical results "
         f"(nfa: {report.stats.nfa_states} states, {report.stats.eps_edges} eps edges)",
     )
 

@@ -121,7 +121,7 @@ def assert_fixpoint(p0, fwd):
     recorded S-set is the one the finished NFA gives."""
     nfa = fwd.nfa
     for t in p0.transitions:
-        s_set = compute_s(nfa, t.source, t.pop)
+        s_set = naive_s(nfa, t.source, t.pop)
         assert fwd.ssets[(t.source, t.pop)] == s_set, t
         if not s_set:
             assert t.id in fwd.u1, t
@@ -187,7 +187,7 @@ def test_evaluation_schedule_is_pinned(monkeypatch, example1, name, calls, passe
     evaluated = []
     original = forward_module.compute_s
 
-    def counted(nfa, q, sigma, closure=None):
+    def counted(nfa, q, sigma, closure):
         evaluated.append((q, sigma))
         return original(nfa, q, sigma, closure)
 
@@ -200,18 +200,18 @@ def test_evaluation_schedule_is_pinned(monkeypatch, example1, name, calls, passe
 
 
 def test_compute_s_worked_values(golden):
-    nfa = golden.nfa
-    assert compute_s(nfa, "q3", ("b0",)) == {M0}
-    assert compute_s(nfa, "q0", ()) == {"q0"}
+    nfa, closure = golden.nfa, golden.closure
+    assert compute_s(nfa, "q3", ("b0",), closure) == {M0}
+    assert compute_s(nfa, "q0", (), closure) == {"q0"}
     n1 = nfa.gamma_into["a"]["q1"]
-    assert compute_s(nfa, "q2", ("c", "a")) == {n1}
+    assert compute_s(nfa, "q2", ("c", "a"), closure) == {n1}
     n2 = nfa.gamma_into["b"]["q1"]
-    assert compute_s(nfa, "q2", ("d", "b")) == {n2}
+    assert compute_s(nfa, "q2", ("d", "b"), closure) == {n2}
 
 
 def test_compute_s_absent_state(golden):
-    assert compute_s(golden.nfa, "nowhere", ()) == set()
-    assert compute_s(golden.nfa, "nowhere", ("a",)) == set()
+    assert compute_s(golden.nfa, "nowhere", (), golden.closure) == set()
+    assert compute_s(golden.nfa, "nowhere", ("a",), golden.closure) == set()
 
 
 def test_forward_empty_finals():
@@ -342,9 +342,13 @@ def test_compute_s_equals_bruteforce_on_golden(golden, example1_p0_restricted):
         ), (t.source, t.pop)
 
 
-def test_forward_closure_flag_equivalent(example1_p0_restricted):
-    with_index = run_forward(example1_p0_restricted, "b0", use_closure_index=True)
-    without = run_forward(example1_p0_restricted, "b0", use_closure_index=False)
+def test_forward_closure_flag_equivalent(example1_p0_restricted, brute_force_s):
+    """Forward with the brute-force S-sets in place of the closure-indexed
+    ones builds the same NFA and S-sets."""
+    with_index = run_forward(example1_p0_restricted, "b0")
+    with brute_force_s() as calls:
+        without = run_forward(example1_p0_restricted, "b0")
+    assert len(calls) > 0
     assert with_index.u1 == without.u1
     assert with_index.nfa.eps_edges == without.nfa.eps_edges
     assert named_gamma_edges(with_index.nfa) == named_gamma_edges(without.nfa)

@@ -81,6 +81,18 @@ def test_backward_reads_only_the_forward_result():
     assert list(inspect.signature(backward.run_backward).parameters) == ["fwd", "pick"]
 
 
+def test_forward_has_one_mode():
+    """The closure index is always read: no option turns it off, and the
+    pop-path walks take the closure as a required argument."""
+    assert list(inspect.signature(pruner.analyze).parameters) == ["pda"]
+    assert list(inspect.signature(pruner.run_pipeline).parameters) == ["pda"]
+    assert list(inspect.signature(forward.run_forward).parameters) == ["p0", "bottom"]
+    for function in (forward.compute_s, forward.pop_levels):
+        closure = inspect.signature(function).parameters["closure"]
+        assert closure.default is inspect.Parameter.empty, function.__name__
+    assert not hasattr(forward, "eps_backward_set")
+
+
 def test_added_names_need_no_search_and_no_wrapper():
     """``augment`` and ``normalize`` mark the names they add with ``#``, so
     neither searches for fresh names nor wraps its automaton to carry them."""

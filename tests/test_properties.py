@@ -24,7 +24,6 @@ from .reference import (
     bounded_language,
     bounded_reachable,
     naive_s,
-    nfa_shape_violations,
     reference_backward,
     scratch_backward,
     scratch_forward,
@@ -35,12 +34,6 @@ from .reference import (
 def forward_of(pda):
     p0 = augment(pda)
     return p0, run_forward(p0, BOTTOM)
-
-
-def test_shape_invariants_hold_on_corpus():
-    for pda in corpus(60):
-        _, fwd = forward_of(pda)
-        assert nfa_shape_violations(fwd.nfa) == [], pda
 
 
 def test_path_heads_spell_reversed_push_strings():
@@ -70,11 +63,13 @@ def test_closure_matches_scratch_on_corpus():
             assert closure_row(fwd.closure.fro, s) == scratch_forward(fwd.nfa, s)
 
 
-def test_closure_flag_equivalent_on_corpus():
+def test_closure_flag_equivalent_on_corpus(brute_force_s):
     for pda in corpus(40):
-        a = analyze(pda, use_closure_index=True)
-        b = analyze(pda, use_closure_index=False)
+        a = analyze(pda)
+        with brute_force_s() as calls:
+            b = analyze(pda)
         assert a == b, pda
+    assert len(calls) > 0
 
 
 def test_forward_order_independence():
@@ -85,17 +80,6 @@ def test_forward_order_independence():
             got = analyze(permuted)
             assert got.unreachable == base.unreachable, (pda, k)
             assert got.dead == base.dead, (pda, k)
-
-
-def test_backward_worklist_order_independence():
-    for i, pda in enumerate(corpus(30)):
-        _, fwd = forward_of(pda)
-        default = run_backward(fwd)
-        fifo = run_backward(fwd, pick=lambda pending: 0)
-        rng = random.Random(i)
-        rnd = run_backward(fwd, pick=lambda pending: rng.randrange(len(pending)))
-        assert default.u2 == fifo.u2 == rnd.u2, pda
-        assert default.iterations == fifo.iterations == rnd.iterations, pda
 
 
 def test_readers_leave_closure_rows_and_ssets_untouched():
@@ -173,12 +157,6 @@ def test_prune_language_preserved_on_corpus():
         before = bounded_language(pda, 4, 5, 14)
         after = bounded_language(pruned, 4, 5, 14)
         assert before == after, pda
-
-
-def test_prune_idempotent_on_corpus():
-    for pda in corpus(40):
-        pruned = prune(pda, analyze(pda))
-        assert analyze(pruned).useless == frozenset(), pda
 
 
 def test_bounded_witnesses_always_classified_useful():
