@@ -29,7 +29,6 @@ from .model import (
     PdaTransition,
     StackString,
     Symbol,
-    is_final,
     make_grammar,
     validate,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "establish_path",
     "exact_useless",
     "grammar_useless",
-    "is_final",
     "make_grammar",
     "nfa_to_dot",
     "normalize",

@@ -1,15 +1,17 @@
 """Backward propagation: which reachable transitions can still accept.
 
 The one input is the forward result; its automaton, NFA, epsilon closures
-and S-sets are read as built.  A worklist of epsilon edges of the NFA is
-grown from m0 ->eps qf.  Each edge x ->eps y justifies every reachable
+and S-sets are read as built, with qf and each transition's source looked
+up once as NFA states.  A worklist of epsilon edges of the NFA is grown
+from m0 ->eps qf.  Each edge x ->eps y justifies every reachable
 transition whose push path starts at y and whose pop set S(q, pop)
 contains x; justifying a popping transition in turn enqueues the epsilon
 edges lying on the matching pop paths, whose backward levels come from
 forward's ``pop_levels``.  The memo is the second documented
 optimization: a map from each source state to its epsilon successors not
 yet put on the worklist.  A path scan removes every edge it emits, so each
-edge enters the worklist at most once.
+edge enters the worklist at most once.  States are ints, so neither the
+work nor its order follows PYTHONHASHSEED.
 
 Scans also skip sources that cannot contribute.  The backward levels of a
 (q, pop) key are fixed, and ``unseen`` only shrinks, so each level keeps
@@ -49,7 +51,7 @@ def run_backward(
     p0, nfa, closure = fwd.p0, fwd.nfa, fwd.closure
     if len(p0.finals) != 1:
         raise ValueError("backward analysis requires the augmented single-final form")
-    (qf,) = p0.finals
+    (qf,) = (nfa.number[q] for q in p0.finals)
     reachable = [t for t in p0.transitions if t.id in fwd.path_head]
     u2 = {t.id for t in reachable}
     if qf not in nfa.eps_out.get(M0, ()):
@@ -58,9 +60,9 @@ def run_backward(
     # Every epsilon edge ends at the head of some transition's push path.
     by_head: dict[State, list] = {}
     for t in reachable:
-        by_head.setdefault(fwd.path_head[t.id], []).append((t, fwd.ssets[(t.source, t.pop)]))
+        q = nfa.number[t.source]
+        by_head.setdefault(fwd.path_head[t.id], []).append((t, q, fwd.ssets[(q, t.pop)]))
     unseen = {x: set(ys) for x, ys in nfa.eps_out.items()}
-    unseen[M0].discard(qf)
     gamma_out, fro = nfa.gamma_out, closure.fro
     # On the finished NFA a path scan is per-level set intersections: backward
     # levels and their live sources per (q, pop[:-1]), forward per (z, pop[:-1]).
@@ -121,11 +123,11 @@ def run_backward(
     while pending:
         x, y = pending.pop(-1 if pick is None else pick(pending))
         iterations += 1
-        for t, sset in by_head.get(y, ()):
+        for t, q, sset in by_head.get(y, ()):
             if x not in sset:
                 continue
             u2.discard(t.id)
             if t.pop:
-                pending.extend(scan(x, t.pop, t.source))
+                pending.extend(scan(x, t.pop, q))
 
     return BackwardResult(u2=frozenset(u2), iterations=iterations, empty_language=False)

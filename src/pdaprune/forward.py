@@ -5,7 +5,8 @@ adds no state or edge.  For a transition ``q --pop/push--> r`` the set
 S(q, pop) collects the NFA states from which popping ``pop`` lands in q;
 each of them gets an epsilon jump to the head of the (unique) path that
 spells the reversed push string into r.  Path establishment shares existing
-suffixes, so per transition at most one path is ever created.
+suffixes, so per transition at most one path is ever created.  States are
+the ints ``NfaSummary`` numbers; groups, S-sets and path targets use them.
 
 A pass walks the transitions grouped by (source, pop), in order of first
 occurrence, and computes each group's S-set once: every transition of the
@@ -107,7 +108,7 @@ def pop_levels(
     return levels
 
 
-def compute_s(nfa: NfaSummary, q: str, sigma: StackString, closure: EpsClosure) -> set[State]:
+def compute_s(nfa: NfaSummary, q: State, sigma: StackString, closure: EpsClosure) -> set[State]:
     """The set S(q, sigma) of NFA states from which popping sigma reaches q.
 
     The sources of sigma[-1]-edges into the last pop level of sigma[:-1]:
@@ -153,14 +154,14 @@ def establish_path(nfa: NfaSummary, labels: tuple[Symbol, ...], z: State) -> Sta
 class ForwardResult:
     """The saturated NFA of ``p0`` and what the backward procedure reads off it.
 
-    ``ssets`` maps each (source, pop) group to its exact final S-set.  The
-    sets are the ones saturation built, not copies: read-only, like the
-    NFA and ``closure``.
+    ``ssets`` maps each (source, pop) group, keyed by the source's NFA
+    state, to its exact final S-set.  The sets are the ones saturation
+    built, not copies: read-only, like the NFA and ``closure``.
     """
 
     nfa: NfaSummary
     u1: frozenset[str]
-    ssets: dict[tuple[str, StackString], set[State]]
+    ssets: dict[tuple[State, StackString], set[State]]
     path_head: dict[str, State]
     passes: int
     closure: EpsClosure = field(repr=False)
@@ -173,18 +174,19 @@ def run_forward(p0: Pda, bottom: Symbol) -> ForwardResult:
     P0 starts in its initial state with the bottom marker as the whole
     stack, which is what the seed edge m0 --bottom--> q0 encodes.
     """
-    nfa = NfaSummary()
-    nfa.add_gamma_edge(M0, bottom, p0.initial)
+    nfa = NfaSummary(p0.states)
+    number = nfa.number
+    nfa.add_gamma_edge(M0, bottom, number[p0.initial])
     closure = EpsClosure()
 
-    groups: dict[tuple[str, StackString], list[PdaTransition]] = {}
+    groups: dict[tuple[State, StackString], list[PdaTransition]] = {}
     for t in p0.transitions:
-        groups.setdefault((t.source, t.pop), []).append(t)
+        groups.setdefault((number[t.source], t.pop), []).append(t)
     path_head: dict[str, State] = {}
     # Overwritten every pass, after the group has read its previous value;
     # the final pass changes nothing, so its values are the S-sets of the
     # finished NFA that the backward procedure needs.
-    ssets: dict[tuple[str, StackString], set[State]] = {}
+    ssets: dict[tuple[State, StackString], set[State]] = {}
     passes = 0
     while True:
         passes += 1
@@ -202,7 +204,7 @@ def run_forward(p0: Pda, bottom: Symbol) -> ForwardResult:
                 head = path_head.get(t.id)
                 if head is None:
                     head = path_head[t.id] = establish_path(
-                        nfa, tuple(reversed(t.push)), t.target
+                        nfa, tuple(reversed(t.push)), number[t.target]
                     )
                 for x in fresh:
                     if nfa.add_eps_edge(x, head):

@@ -11,7 +11,7 @@ inside the PDA semantics.
 import re
 from dataclasses import dataclass
 from itertools import chain
-from typing import Hashable, Iterator, NamedTuple
+from typing import Hashable, Iterable, Iterator, NamedTuple
 
 Symbol = str
 StackString = tuple[Symbol, ...]
@@ -201,18 +201,14 @@ def make_grammar(
 # ---------------------------------------------------------------------------
 # Summary NFA
 
-# A state of the summary NFA is a plain hashable value: a PDA state is its
-# own name (a str), the seed m0 is 0 and intermediates are the ints 1, 2, ...
-# in creation order.  PDA-inherited states are exactly the final states of
-# the NFA, so the two kinds can never collide and no name is reserved.
-State = str | int
+# A state of the summary NFA is an int, numbered densely once: m0 is 0, the
+# PDA states are 1..n in declaration order and intermediates n+1, n+2, ...
+# in creation order.  The PDA states are the NFA's final states, so a range
+# test tells the kinds apart; int hashes, unlike str ones, do not follow
+# PYTHONHASHSEED.  ``NfaSummary`` maps names to numbers and back.
+State = int
 
 M0: State = 0
-
-
-def is_final(s: State) -> bool:
-    """Whether ``s`` is a PDA state, i.e. a final state of the summary NFA."""
-    return isinstance(s, str)
 
 
 class NfaShapeError(Exception):
@@ -229,14 +225,27 @@ class NfaSummary:
     pair has at most one source: ``gamma_out[src] = (label, dst)`` and
     ``gamma_into[label][dst] = src``.  Epsilon edges live only in
     ``eps_out[src]``, the set of their targets; ``eps_edges`` is a view.
+    ``names`` are the PDA's states in declaration order and ``number``
+    maps each to its NFA state; ``states`` holds only the states an edge
+    or path has touched.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, names: Iterable[str]) -> None:
+        self.names = tuple(names)
+        self.number = {q: i for i, q in enumerate(self.names, 1)}
         self.states: set[State] = set()
         self.gamma_out: dict[State, tuple[Symbol, State]] = {}
         self.gamma_into: dict[Symbol, dict[State, State]] = {}
         self.eps_out: dict[State, set[State]] = {}
-        self._next_mid = 1
+        self._next_mid = len(self.names) + 1
+
+    def is_final(self, s: State) -> bool:
+        """Whether ``s`` is a PDA state, i.e. a final state of the NFA."""
+        return 0 < s <= len(self.names)
+
+    def name(self, s: State) -> str:
+        """The name of PDA state ``s``."""
+        return self.names[s - 1]
 
     def new_intermediate(self) -> State:
         s = self._next_mid
@@ -245,7 +254,7 @@ class NfaSummary:
         return s
 
     def add_gamma_edge(self, src: State, label: Symbol, dst: State) -> None:
-        if is_final(src):
+        if self.is_final(src):
             raise NfaShapeError(f"gamma edge from final state {src!r}")
         if src in self.gamma_out:
             raise NfaShapeError(f"second gamma edge out of {src!r}")

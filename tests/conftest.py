@@ -4,7 +4,7 @@ from contextlib import contextmanager
 import pytest
 
 import pdaprune.forward as forward_module
-from pdaprune import M0, Pda, PdaTransition, is_final, make_grammar, random_pda, run_forward
+from pdaprune import M0, Pda, PdaTransition, make_grammar, random_pda, run_forward
 
 from .reference import bfs, naive_s
 
@@ -127,8 +127,15 @@ def shuffled_transitions(pda, seed):
     )
 
 
+def nfa_states(nfa, names):
+    """The NFA states of the PDA states in ``names``, a space-separated list,
+    in that order.  Tests look PDA states up by name only through this."""
+    return tuple(map(nfa.number.__getitem__, names.split()))
+
+
 def nfa_accepted_configs(nfa, max_len):
-    """(state, stack) pairs the summary NFA claims reachable, stacks <= max_len.
+    """(state name, stack) pairs the summary NFA claims reachable, stacks
+    <= max_len.
 
     Walks (state, label string read from m0) pairs, epsilon edges allowed
     anywhere; the stack is the reverse of a string read into a final state.
@@ -142,7 +149,11 @@ def nfa_accepted_configs(nfa, max_len):
             out.append((edge[1], word + (edge[0],)))
         return out
 
-    return {(s, tuple(reversed(word))) for s, word in bfs((M0, ()), successors) if is_final(s)}
+    return {
+        (nfa.name(s), tuple(reversed(word)))
+        for s, word in bfs((M0, ()), successors)
+        if nfa.is_final(s)
+    }
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ code with the optimized paths it checks.
 
 from collections import deque
 
-from pdaprune import M0, Configuration, is_final
+from pdaprune import M0, Configuration
 from pdaprune.model import NfaShapeError
 
 
@@ -139,9 +139,9 @@ def nfa_shape_violations(nfa):
     """Post-construction invariants: shape and reachability from m0."""
     diags = []
     for s in nfa.states:
-        if is_final(s) and s in nfa.gamma_out:
+        if nfa.is_final(s) and s in nfa.gamma_out:
             diags.append(f"final state {s!r} has an outgoing gamma edge")
-        if not is_final(s) and s not in nfa.gamma_out:
+        if not nfa.is_final(s) and s not in nfa.gamma_out:
             diags.append(f"non-final state {s!r} lacks an outgoing gamma edge")
     for src, (label, dst) in nfa.gamma_out.items():
         if nfa.gamma_into.get(label, {}).get(dst) != src:
@@ -175,7 +175,7 @@ def unique_gamma_path(nfa, y):
     labels = []
     seen = set()
     cur = y
-    while not is_final(cur):
+    while not nfa.is_final(cur):
         if cur in seen:
             raise NfaShapeError(f"gamma cycle through {cur!r}")
         seen.add(cur)
@@ -289,14 +289,15 @@ def reference_backward(fwd, on_step=None):
     processed edge.
     """
     nfa = fwd.nfa
-    (qf,) = fwd.p0.finals
+    (final,) = fwd.p0.finals
+    qf = nfa.number[final]
     reachable = [t for t in fwd.p0.transitions if t.id not in fwd.u1]
     seed = (M0, qf)
     if seed not in nfa.eps_edges:
         return frozenset(t.id for t in reachable)
     by_push_target = {}
     for t in reachable:
-        by_push_target.setdefault((t.push, t.target), []).append(t)
+        by_push_target.setdefault((t.push, nfa.number[t.target]), []).append(t)
     u2 = {t.id for t in reachable}
     enqueued = {seed}
     pending = deque([seed])
@@ -304,11 +305,12 @@ def reference_backward(fwd, on_step=None):
         x, y = pending.popleft()
         labels, r = unique_gamma_path(nfa, y)
         for t in by_push_target.get((tuple(reversed(labels)), r), ()):
-            if x not in fwd.ssets.get((t.source, t.pop), ()):
+            q = nfa.number[t.source]
+            if x not in fwd.ssets.get((q, t.pop), ()):
                 continue
             u2.discard(t.id)
             if t.pop:
-                for edge in scan_eps_on_paths(nfa, x, t.pop, t.source):
+                for edge in scan_eps_on_paths(nfa, x, t.pop, q):
                     if edge not in enqueued:
                         enqueued.add(edge)
                         pending.append(edge)

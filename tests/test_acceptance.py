@@ -26,9 +26,8 @@ from pdaprune import (
     run_pipeline,
 )
 from pdaprune.augment import BOTTOM
-from pdaprune.model import is_final
 
-from .conftest import corpus, nfa_accepted_configs, random_grammar, shuffled_transitions
+from .conftest import corpus, nfa_accepted_configs, nfa_states, random_grammar, shuffled_transitions
 from .reference import bounded_language, bounded_reachable, nfa_shape_violations
 
 
@@ -73,31 +72,32 @@ def test_criterion_2_nfa_golden(golden):
     assert golden.u1 == frozenset()
 
     # Intermediates are matched by their unique gamma path to a final state.
-    n1 = nfa.gamma_into["a"]["q1"]
-    n2 = nfa.gamma_into["b"]["q1"]
-    n4 = nfa.gamma_into["d"]["q2"]
+    q0, q1, q2, q3, qf = nfa_states(nfa, "q0 q1 q2 q3 qf")
+    n1 = nfa.gamma_into["a"][q1]
+    n2 = nfa.gamma_into["b"][q1]
+    n4 = nfa.gamma_into["d"][q2]
     n3 = nfa.gamma_into["a"][n4]
-    n5 = nfa.gamma_into["c"]["q2"]
-    assert not any(is_final(s) for s in (n1, n2, n3, n4, n5))
+    n5 = nfa.gamma_into["c"][q2]
+    assert not any(nfa.is_final(s) for s in (n1, n2, n3, n4, n5))
     assert len({n1, n2, n3, n4, n5}) == 5
     gamma = set(nfa.gamma_edges())
     assert gamma == {
-        (M0, "b0", "q0"),
-        (n1, "a", "q1"),
-        (n2, "b", "q1"),
+        (M0, "b0", q0),
+        (n1, "a", q1),
+        (n2, "b", q1),
         (n3, "a", n4),
-        (n4, "d", "q2"),
-        (n5, "c", "q2"),
+        (n4, "d", q2),
+        (n5, "c", q2),
     }
     assert nfa.eps_edges == {
-        ("q0", n1),
-        ("q0", n2),
-        ("q0", n3),
-        ("q1", n5),
-        ("q1", n4),
-        (n1, "q3"),
-        (n2, "q3"),
-        (M0, "qf"),
+        (q0, n1),
+        (q0, n2),
+        (q0, n3),
+        (q1, n5),
+        (q1, n4),
+        (n1, q3),
+        (n2, q3),
+        (M0, qf),
     }
     assert len(gamma) == 6 and len(nfa.eps_edges) == 8
     passline(2, "summary NFA matches the expected shape (6 gamma + 8 eps edges)")

@@ -1,27 +1,36 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pdaprune
 from pdaprune import (
     M0,
     NfaShapeError,
     NfaSummary,
+    analyze,
+    exact_useless,
+    random_pda,
     run_backward,
     run_forward,
 )
 from pdaprune.augment import BOTTOM
 
-from .conftest import make_pda
+from .conftest import make_pda, nfa_states
 from .reference import reference_backward, scan_eps_on_paths, unique_gamma_path
 
 
 def mids(nfa):
+    q1, q2 = nfa_states(nfa, "q1 q2")
     out = {}
-    out["n1"] = nfa.gamma_into["a"]["q1"]
-    out["n2"] = nfa.gamma_into["b"]["q1"]
-    out["n4"] = nfa.gamma_into["d"]["q2"]
+    out["n1"] = nfa.gamma_into["a"][q1]
+    out["n2"] = nfa.gamma_into["b"][q1]
+    out["n4"] = nfa.gamma_into["d"][q2]
     out["n3"] = nfa.gamma_into["a"][out["n4"]]
-    out["n5"] = nfa.gamma_into["c"]["q2"]
+    out["n5"] = nfa.gamma_into["c"][q2]
     return out
 
 
@@ -81,13 +90,14 @@ def test_backward_requires_single_final(example1_p0_restricted):
 def test_unique_gamma_path_values(golden):
     nfa = golden.nfa
     m = mids(nfa)
-    assert unique_gamma_path(nfa, m["n3"]) == (("a", "d"), "q2")
-    assert unique_gamma_path(nfa, "qf") == ((), "qf")
-    assert unique_gamma_path(nfa, m["n5"]) == (("c",), "q2")
+    q2, qf = nfa_states(nfa, "q2 qf")
+    assert unique_gamma_path(nfa, m["n3"]) == (("a", "d"), q2)
+    assert unique_gamma_path(nfa, qf) == ((), qf)
+    assert unique_gamma_path(nfa, m["n5"]) == (("c",), q2)
 
 
 def test_unique_gamma_path_detects_breakage():
-    nfa = NfaSummary()
+    nfa = NfaSummary(())
     lone = nfa.new_intermediate()
     with pytest.raises(NfaShapeError):
         unique_gamma_path(nfa, lone)
@@ -102,14 +112,15 @@ def test_unique_gamma_path_detects_breakage():
 def test_scan_eps_worked_values(golden):
     nfa = golden.nfa
     m = mids(nfa)
-    assert scan_eps_on_paths(nfa, M0, ("b0",), "q3") == {
-        ("q0", m["n1"]),
-        (m["n1"], "q3"),
-        ("q0", m["n2"]),
-        (m["n2"], "q3"),
+    q0, q1, q2, q3 = nfa_states(nfa, "q0 q1 q2 q3")
+    assert scan_eps_on_paths(nfa, M0, ("b0",), q3) == {
+        (q0, m["n1"]),
+        (m["n1"], q3),
+        (q0, m["n2"]),
+        (m["n2"], q3),
     }
-    assert scan_eps_on_paths(nfa, m["n1"], ("c", "a"), "q2") == {("q1", m["n5"])}
-    assert scan_eps_on_paths(nfa, m["n2"], ("d", "b"), "q2") == {("q1", m["n4"])}
+    assert scan_eps_on_paths(nfa, m["n1"], ("c", "a"), q2) == {(q1, m["n5"])}
+    assert scan_eps_on_paths(nfa, m["n2"], ("d", "b"), q2) == {(q1, m["n4"])}
 
 
 def test_backward_order_independent(golden):
@@ -133,3 +144,47 @@ def test_backward_monotone_shrinking(golden, example1_p0_restricted):
     reference_backward(golden, on_step=sizes.append)
     assert sizes == sorted(sizes, reverse=True)
     assert sizes[-1] == 1
+
+
+@pytest.mark.parametrize("seed", [1061, 1082, 1257, 1351, 1681, 1871, 2472])
+def test_backward_forward_levels_check_labels(seed):
+    """A forward level follows only the gamma edge labeled with the next pop
+    symbol.  On these machines following the other labels gives verdicts
+    that differ from the exact oracle's."""
+    pda = random_pda(seed)
+    assert analyze(pda).useless == exact_useless(pda)
+
+
+# Prints the (x, y) entries of the dense instance in the order the LIFO
+# worklist processes them.
+BACKWARD_ORDER = """
+from pdaprune import augment, random_pda, run_backward, run_forward
+from pdaprune.augment import BOTTOM
+
+pda = random_pda(2025, max_states=25, max_trans=160, gamma_size=4, final_prob=0.1)
+order = []
+
+def pick(pending):
+    order.append(pending[-1])
+    return len(pending) - 1
+
+run_backward(run_forward(augment(pda), BOTTOM), pick=pick)
+print(order)
+"""
+
+
+def test_backward_work_independent_of_hash_seed():
+    """NFA states are ints, whose hashes are fixed, so backward processes
+    the same edges in the same order under every PYTHONHASHSEED."""
+    src = str(Path(pdaprune.__file__).resolve().parent.parent)
+    orders = [
+        subprocess.run(
+            [sys.executable, "-c", BACKWARD_ORDER],
+            capture_output=True,
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src),
+            check=True,
+        ).stdout
+        for hash_seed in ("0", "1", "2", "3")
+    ]
+    assert orders[0].count(b"),") > 100
+    assert len(set(orders)) == 1

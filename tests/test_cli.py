@@ -219,8 +219,9 @@ def test_version_flag(capsys):
 
 
 def test_output_independent_of_hash_seed(tmp_path):
-    """NFA states are plain strings and ints, so set iteration order follows
-    PYTHONHASHSEED; the printed report and DOT must not."""
+    """Transition ids and state names are strings, so the iteration order of
+    the sets holding them follows PYTHONHASHSEED; the printed report and DOT
+    must not."""
     path = tmp_path / "m.pda"
     # Has useful, dead and unreachable transitions and ~100 backward steps.
     path.write_text(print_pda(random_pda(6, max_states=8, max_trans=40, gamma_size=3)))

@@ -15,13 +15,12 @@ from pdaprune import (
     cfg_to_pda,
     compute_s,
     establish_path,
-    is_final,
     parse_grammar,
     run_forward,
 )
 from pdaprune.augment import BOTTOM, DRAIN, FINAL
 
-from .conftest import GRAMMAR_DOCS, corpus, make_pda
+from .conftest import GRAMMAR_DOCS, corpus, make_pda, nfa_states
 from .reference import (
     closure_row,
     naive_s,
@@ -39,10 +38,10 @@ def named_gamma_edges(nfa):
     def pathname(s):
         if s == M0:
             return "m0"
-        if is_final(s):
-            return s
+        if nfa.is_final(s):
+            return nfa.name(s)
         labels, end = unique_gamma_path(nfa, s)
-        return "via:" + "".join(labels) + ">" + end
+        return "via:" + "".join(labels) + ">" + nfa.name(end)
 
     return {(pathname(src), label, pathname(dst)) for src, label, dst in nfa.gamma_edges()}
 
@@ -53,9 +52,9 @@ def test_golden_u1_empty(golden):
 
 def test_golden_nfa_states(golden):
     nfa = golden.nfa
-    finals = {s for s in nfa.states if is_final(s)}
-    assert finals == {"q0", "q1", "q2", "q3", "qf"}
-    mids = {s for s in nfa.states if not is_final(s) and s != M0}
+    finals = {s for s in nfa.states if nfa.is_final(s)}
+    assert finals == set(nfa_states(nfa, "q0 q1 q2 q3 qf"))
+    mids = {s for s in nfa.states if not nfa.is_final(s) and s != M0}
     assert len(mids) == 5
     assert len(nfa.states) == 11
 
@@ -74,6 +73,7 @@ def test_golden_nfa_gamma_edges(golden):
 
 def test_golden_nfa_eps_edges(golden):
     nfa = golden.nfa
+    q0, q1, q2, q3, qf = nfa_states(nfa, "q0 q1 q2 q3 qf")
 
     def head(labels, q):
         cur = q
@@ -81,35 +81,38 @@ def test_golden_nfa_eps_edges(golden):
             cur = nfa.gamma_into[label][cur]
         return cur
 
-    n1 = head("a", "q1")
-    n2 = head("b", "q1")
-    n3 = head("ad", "q2")
-    n4 = head("d", "q2")
-    n5 = head("c", "q2")
+    n1 = head("a", q1)
+    n2 = head("b", q1)
+    n3 = head("ad", q2)
+    n4 = head("d", q2)
+    n5 = head("c", q2)
     assert nfa.eps_edges == {
-        ("q0", n1),
-        ("q0", n2),
-        ("q0", n3),
-        ("q1", n5),
-        ("q1", n4),
-        (n1, "q3"),
-        (n2, "q3"),
-        (M0, "qf"),
+        (q0, n1),
+        (q0, n2),
+        (q0, n3),
+        (q1, n5),
+        (q1, n4),
+        (n1, q3),
+        (n2, q3),
+        (M0, qf),
     }
 
 
 def test_golden_intermediates_numbered_in_creation_order(golden):
-    # The declaration order of the example makes allocation match the
-    # classic n1..n5 naming exactly.
+    # m0 is 0, the five PDA states are 1..5 in declaration order, and the
+    # declaration order of the example makes the intermediates 6..10 match
+    # the classic n1..n5 naming exactly.
     assert named_gamma_edges(golden.nfa) is not None
     nfa = golden.nfa
-    mids = {s for s in nfa.states if not is_final(s) and s != M0}
-    assert mids == {1, 2, 3, 4, 5}
-    assert nfa.gamma_out[1] == ("a", "q1")
-    assert nfa.gamma_out[2] == ("b", "q1")
-    assert nfa.gamma_out[3] == ("a", 4)
-    assert nfa.gamma_out[4] == ("d", "q2")
-    assert nfa.gamma_out[5] == ("c", "q2")
+    assert nfa_states(nfa, "q0 q1 q2 q3 qf") == (1, 2, 3, 4, 5)
+    assert nfa.names == ("q0", "q1", "q2", "q3", "qf")
+    mids = {s for s in nfa.states if not nfa.is_final(s) and s != M0}
+    assert mids == {6, 7, 8, 9, 10}
+    assert nfa.gamma_out[6] == ("a", 2)
+    assert nfa.gamma_out[7] == ("b", 2)
+    assert nfa.gamma_out[8] == ("a", 9)
+    assert nfa.gamma_out[9] == ("d", 3)
+    assert nfa.gamma_out[10] == ("c", 3)
 
 
 def test_golden_shape_invariants(golden):
@@ -121,8 +124,9 @@ def assert_fixpoint(p0, fwd):
     recorded S-set is the one the finished NFA gives."""
     nfa = fwd.nfa
     for t in p0.transitions:
-        s_set = naive_s(nfa, t.source, t.pop)
-        assert fwd.ssets[(t.source, t.pop)] == s_set, t
+        (q,) = nfa_states(nfa, t.source)
+        s_set = naive_s(nfa, q, t.pop)
+        assert fwd.ssets[(q, t.pop)] == s_set, t
         if not s_set:
             assert t.id in fwd.u1, t
             continue
@@ -201,24 +205,26 @@ def test_evaluation_schedule_is_pinned(monkeypatch, example1, name, calls, passe
 
 def test_compute_s_worked_values(golden):
     nfa, closure = golden.nfa, golden.closure
-    assert compute_s(nfa, "q3", ("b0",), closure) == {M0}
-    assert compute_s(nfa, "q0", (), closure) == {"q0"}
-    n1 = nfa.gamma_into["a"]["q1"]
-    assert compute_s(nfa, "q2", ("c", "a"), closure) == {n1}
-    n2 = nfa.gamma_into["b"]["q1"]
-    assert compute_s(nfa, "q2", ("d", "b"), closure) == {n2}
+    q0, q1, q2, q3 = nfa_states(nfa, "q0 q1 q2 q3")
+    assert compute_s(nfa, q3, ("b0",), closure) == {M0}
+    assert compute_s(nfa, q0, (), closure) == {q0}
+    n1 = nfa.gamma_into["a"][q1]
+    assert compute_s(nfa, q2, ("c", "a"), closure) == {n1}
+    n2 = nfa.gamma_into["b"][q1]
+    assert compute_s(nfa, q2, ("d", "b"), closure) == {n2}
 
 
 def test_compute_s_absent_state(golden):
-    assert compute_s(golden.nfa, "nowhere", (), golden.closure) == set()
-    assert compute_s(golden.nfa, "nowhere", ("a",), golden.closure) == set()
+    nowhere = max(golden.nfa.states) + 1
+    assert compute_s(golden.nfa, nowhere, (), golden.closure) == set()
+    assert compute_s(golden.nfa, nowhere, ("a",), golden.closure) == set()
 
 
 def test_forward_empty_finals():
     pda = make_pda(["q0"], [], ["a"], [("t0", "q0", None, "", "a", "q0")], "q0", [])
     p0 = augment(pda)
     fwd = run_forward(p0, BOTTOM)
-    assert (M0, FINAL) not in fwd.nfa.eps_edges
+    assert (M0, *nfa_states(fwd.nfa, FINAL)) not in fwd.nfa.eps_edges
     drains = {t.id for t in p0.transitions if t.source == DRAIN}
     assert drains <= fwd.u1
 
@@ -229,41 +235,43 @@ def test_forward_self_loop_push():
     p0 = augment(pda)
     fwd = run_forward(p0, BOTTOM)
     nfa = fwd.nfa
+    q0, qf = nfa_states(nfa, f"q0 {FINAL}")
     assert fwd.u1 == frozenset()
-    assert (M0, FINAL) in nfa.eps_edges
-    loop = nfa.gamma_into["a"]["q0"]
-    assert not is_final(loop)
-    assert ("q0", loop) in nfa.eps_edges
+    assert (M0, qf) in nfa.eps_edges
+    loop = nfa.gamma_into["a"][q0]
+    assert not nfa.is_final(loop)
+    assert (q0, loop) in nfa.eps_edges
     assert nfa_shape_violations(nfa) == []
     # Cross-check with the explicit searcher at stack height 3.
     assert bounded_useful(pda, 3, 4) == {"t0"}
 
 
 def test_establish_path_empty_labels():
-    nfa = NfaSummary()
-    z = "q0"
+    nfa = NfaSummary(["q0"])
+    (z,) = nfa_states(nfa, "q0")
     nfa.states.add(z)
-    assert establish_path(nfa, (), z) is z
+    assert establish_path(nfa, (), z) == z
     assert len(nfa.gamma_out) == 0
 
 
 def test_establish_path_creates_chain():
-    nfa = NfaSummary()
-    z = "q2"
+    nfa = NfaSummary(["q2"])
+    (z,) = nfa_states(nfa, "q2")
     head = establish_path(nfa, ("a", "d"), z)
     assert nfa.gamma_out[head][0] == "a"
     mid = nfa.gamma_out[head][1]
     assert nfa.gamma_out[mid] == ("d", z)
     assert len(nfa.states) == 3
+    assert {head, mid} == {2, 3}
 
 
 def test_establish_path_reuses_suffix():
-    nfa = NfaSummary()
-    z = "q2"
+    nfa = NfaSummary(["q2"])
+    (z,) = nfa_states(nfa, "q2")
     n5 = nfa.new_intermediate()
     nfa.add_gamma_edge(n5, "c", z)
     before = len(nfa.gamma_out)
-    assert establish_path(nfa, ("c",), z) is n5
+    assert establish_path(nfa, ("c",), z) == n5
     assert len(nfa.gamma_out) == before
     # Partial reuse: extend the shared suffix by one fresh state.
     head = establish_path(nfa, ("b", "c"), z)
@@ -273,14 +281,14 @@ def test_establish_path_reuses_suffix():
 
 def test_closure_single_edge():
     c = EpsClosure()
-    q0, n1 = "q0", 1
+    q0, n1 = 1, 2
     c.add_edge(q0, n1)
     assert closure_row(c.to, n1) == {n1, q0}
 
 
 def test_closure_duplicate_edge_is_noop():
     c = EpsClosure()
-    q0, n1 = "q0", 1
+    q0, n1 = 1, 2
     c.add_edge(q0, n1)
     snapshot = {s: set(v) for s, v in c.to.items()}
     c.add_edge(q0, n1)
@@ -289,10 +297,11 @@ def test_closure_duplicate_edge_is_noop():
 
 def test_closure_transitive_on_golden(golden):
     nfa = golden.nfa
-    n1 = nfa.gamma_into["a"]["q1"]
-    n2 = nfa.gamma_into["b"]["q1"]
-    b_q3 = closure_row(golden.closure.to, "q3")
-    assert b_q3 == {"q3", n1, n2, "q0"}
+    q0, q1, q3 = nfa_states(nfa, "q0 q1 q3")
+    n1 = nfa.gamma_into["a"][q1]
+    n2 = nfa.gamma_into["b"][q1]
+    b_q3 = closure_row(golden.closure.to, q3)
+    assert b_q3 == {q3, n1, n2, q0}
 
 
 def test_closure_matches_scratch_on_golden(golden):
@@ -323,7 +332,7 @@ def test_closure_incremental_equals_scratch_on_cycles():
 
 
 def assert_closure_equals_scratch(nodes, edges):
-    nfa = NfaSummary()
+    nfa = NfaSummary(())
     closure = EpsClosure()
     nfa.states.update(nodes)
     for x, y in edges:
@@ -337,9 +346,8 @@ def assert_closure_equals_scratch(nodes, edges):
 def test_compute_s_equals_bruteforce_on_golden(golden, example1_p0_restricted):
     nfa = golden.nfa
     for t in example1_p0_restricted.transitions:
-        assert compute_s(nfa, t.source, t.pop, golden.closure) == naive_s(
-            nfa, t.source, t.pop
-        ), (t.source, t.pop)
+        (q,) = nfa_states(nfa, t.source)
+        assert compute_s(nfa, q, t.pop, golden.closure) == naive_s(nfa, q, t.pop), (t.source, t.pop)
 
 
 def test_forward_closure_flag_equivalent(example1_p0_restricted, brute_force_s):

@@ -93,6 +93,15 @@ def test_forward_has_one_mode():
     assert not hasattr(forward, "eps_backward_set")
 
 
+def test_nfa_states_have_one_encoding():
+    """NFA states are the ints ``NfaSummary`` numbers; no module-level test
+    tells a PDA state from the rest by its type."""
+    assert model.State is int
+    assert not hasattr(model, "is_final")
+    assert "is_final" not in pdaprune.__all__
+    assert list(inspect.signature(model.NfaSummary).parameters) == ["names"]
+
+
 def test_added_names_need_no_search_and_no_wrapper():
     """``augment`` and ``normalize`` mark the names they add with ``#``, so
     neither searches for fresh names nor wraps its automaton to carry them."""

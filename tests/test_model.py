@@ -15,7 +15,7 @@ from pdaprune import (
 )
 from pdaprune.model import NfaShapeError, Pda, is_valid_name
 
-from .conftest import make_pda
+from .conftest import make_pda, nfa_states
 from .reference import nfa_shape_violations, step
 
 
@@ -255,9 +255,9 @@ def test_step_ignores_stack_below_pop(suffix):
 
 
 def test_nfa_shape_guards():
-    nfa = NfaSummary()
+    nfa = NfaSummary(["q0"])
     n = nfa.new_intermediate()
-    q = "q0"
+    (q,) = nfa_states(nfa, "q0")
     nfa.add_gamma_edge(n, "a", q)
     with pytest.raises(NfaShapeError):
         nfa.add_gamma_edge(n, "b", q)  # second edge out of n
@@ -269,32 +269,42 @@ def test_nfa_shape_guards():
 
 
 def label_index_nfa():
-    nfa = NfaSummary()
-    nfa.add_gamma_edge(M0, "b0", "q0")
+    nfa = NfaSummary(["q0"])
+    (q0,) = nfa_states(nfa, "q0")
+    nfa.add_gamma_edge(M0, "b0", q0)
     n = nfa.new_intermediate()
-    nfa.add_gamma_edge(n, "a", "q0")
+    nfa.add_gamma_edge(n, "a", q0)
     nfa.add_eps_edge(M0, n)
-    assert nfa.gamma_into == {"b0": {"q0": M0}, "a": {"q0": n}}
+    assert nfa.gamma_into == {"b0": {q0: M0}, "a": {q0: n}}
     assert nfa_shape_violations(nfa) == []
-    return nfa, n
+    return nfa, q0, n
 
 
 def test_label_index_corruption_is_reported():
-    nfa, _ = label_index_nfa()
-    nfa.gamma_into["a"]["q0"] = M0
+    nfa, q0, _ = label_index_nfa()
+    nfa.gamma_into["a"][q0] = M0
     diags = nfa_shape_violations(nfa)
     assert any("label index lacks a edge" in d for d in diags), diags
     assert any("label index has stray a edge" in d for d in diags), diags
 
-    nfa, n = label_index_nfa()
-    nfa.gamma_into["c"] = {"q0": n}
-    assert nfa_shape_violations(nfa) == [f"label index has stray c edge {n!r}->'q0'"]
+    nfa, q0, n = label_index_nfa()
+    nfa.gamma_into["c"] = {q0: n}
+    assert nfa_shape_violations(nfa) == [f"label index has stray c edge {n!r}->{q0!r}"]
+
+
+def test_nfa_states_are_numbered_once():
+    """m0 is 0, PDA states 1..n in declaration order, intermediates from
+    n + 1; a range test tells PDA states from the rest."""
+    nfa = NfaSummary(["b", "a"])
+    assert nfa_states(nfa, "b a") == (1, 2)
+    assert (nfa.name(1), nfa.name(2)) == ("b", "a")
+    assert nfa.new_intermediate() == 3
+    assert [nfa.is_final(s) for s in range(4)] == [False, True, True, False]
 
 
 def test_nfa_eps_edges_deduplicate():
-    nfa = NfaSummary()
-    x = "q0"
-    y = "q1"
+    nfa = NfaSummary(["q0", "q1"])
+    x, y = nfa_states(nfa, "q0 q1")
     nfa.states.add(x)
     nfa.states.add(y)
     assert nfa.add_eps_edge(x, y)

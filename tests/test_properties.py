@@ -17,7 +17,7 @@ from pdaprune import (
 )
 from pdaprune.augment import BOTTOM
 
-from .conftest import GRAMMAR_DOCS, corpus, nfa_accepted_configs, shuffled_transitions
+from .conftest import GRAMMAR_DOCS, corpus, nfa_accepted_configs, nfa_states, shuffled_transitions
 from .reference import (
     closure_row,
     bounded_fired,
@@ -44,15 +44,16 @@ def test_path_heads_spell_reversed_push_strings():
                 continue
             labels, end = unique_gamma_path(fwd.nfa, fwd.path_head[t.id])
             assert labels == tuple(reversed(t.push)), t
-            assert end == t.target, t
+            assert (end,) == nfa_states(fwd.nfa, t.target), t
 
 
 def test_compute_s_matches_bruteforce_on_corpus():
     for pda in corpus(30):
         p0, fwd = forward_of(pda)
         for t in p0.transitions:
-            got = compute_s(fwd.nfa, t.source, t.pop, fwd.closure)
-            assert got == naive_s(fwd.nfa, t.source, t.pop), (pda, t)
+            (q,) = nfa_states(fwd.nfa, t.source)
+            got = compute_s(fwd.nfa, q, t.pop, fwd.closure)
+            assert got == naive_s(fwd.nfa, q, t.pop), (pda, t)
 
 
 def test_closure_matches_scratch_on_corpus():

@@ -50,8 +50,15 @@ def test_analyze_reachable_but_dead():
 
 def test_analyze_rejects_invalid():
     bad = make_pda(["q0"], [], ["a"], [("t0", "q0", None, "", "a", "q9")], "q0", [])
-    with pytest.raises(InvalidPdaError):
+    with pytest.raises(InvalidPdaError) as excinfo:
         analyze(bad)
+    assert str(excinfo.value) == "unknown state: t0 target 'q9'"
+
+
+def test_invalid_pda_error_message_joins_diagnostics():
+    err = InvalidPdaError(["duplicate id: t0", "unknown state: initial 'q9'"])
+    assert str(err) == "duplicate id: t0; unknown state: initial 'q9'"
+    assert err.diagnostics == ["duplicate id: t0", "unknown state: initial 'q9'"]
 
 
 def test_analyze_deterministic(example1):
@@ -121,6 +128,27 @@ def test_prune_orphan_state_removal(example1):
     assert rep.useless == {"t0"}
     slim = prune(lonely, rep, drop_orphan_states=True)
     assert slim.states == ("q0",)
+
+
+def test_prune_orphan_states_keep_sources_and_drop_untouched_finals():
+    """A state that only a kept transition's source touches stays; a final
+    state that no kept transition touches leaves the states and the finals."""
+    pda = make_pda(
+        ["q0", "q1", "q2", "q3"],
+        [],
+        [],
+        [("t0", "q0", None, "", "", "q2"), ("t1", "q1", None, "", "", "q2")],
+        "q0",
+        ["q2", "q3"],
+    )
+    report = analyze(pda)
+    assert (report.unreachable, report.useful) == ({"t1"}, {"t0"})
+    slim = prune(pda, report, drop_orphan_states=True)
+    assert (slim.states, slim.finals) == (("q0", "q2"), {"q2"})
+    # A report may keep any transition; one that keeps t1 keeps its source.
+    keep_all = replace(report, unreachable=frozenset(), useful=frozenset({"t0", "t1"}))
+    slim = prune(pda, keep_all, drop_orphan_states=True)
+    assert (slim.states, slim.finals) == (("q0", "q1", "q2"), {"q2"})
 
 
 def test_idempotence(example1):
