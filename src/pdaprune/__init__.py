@@ -34,6 +34,7 @@ from .model import (
 )
 from .oracle import (
     bounded_useful,
+    exact_unreachable,
     exact_useless,
     grammar_useless,
     normalize,
@@ -73,6 +74,7 @@ __all__ = [
     "cfg_to_pda",
     "compute_s",
     "establish_path",
+    "exact_unreachable",
     "exact_useless",
     "grammar_useless",
     "make_grammar",

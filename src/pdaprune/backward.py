@@ -21,6 +21,11 @@ into that level, collected at the key's first scan.  A scan walks only
 source's edges into a level have been emitted it can never gain another.
 Each (level, source) pair is thus checked at most once per key, and a scan
 with no live source left returns before building any forward level.
+
+Levels past level 0 are unions of closure rows, nearly all equal on an
+epsilon cycle (ladder 320/2024 builds 413 levels with 10 contents), so
+each content is stored once per call as an interned frozenset.  Level 0
+is the closure row itself, and ``live`` stays per key, as scans shrink it.
 """
 
 from dataclasses import dataclass
@@ -67,7 +72,12 @@ def run_backward(
     # On the finished NFA a path scan is per-level set intersections: backward
     # levels and their live sources per (q, pop[:-1]), forward per (z, pop[:-1]).
     bwd_levels: dict[tuple[State, StackString], tuple] = {}
-    fwd_levels: dict[tuple[State, StackString], list[set[State]]] = {}
+    fwd_levels: dict[tuple[State, StackString], list] = {}
+    interned: dict[frozenset[State], frozenset[State]] = {}
+
+    def intern(level: set[State]) -> frozenset[State]:
+        key = frozenset(level)
+        return interned.setdefault(key, key)
 
     def scan(x: State, pop: StackString, q: State) -> list[tuple[State, State]]:
         """Unseen epsilon edges on complete pop paths x --pop[-1]--> z ==pop[:-1]==> q.
@@ -80,7 +90,8 @@ def run_backward(
         entry = bwd_levels.get((q, rest))
         if entry is None:
             # Backward level i: the states that read all but i labels into q.
-            bwd = pop_levels(nfa, q, rest, closure)[::-1]
+            built = pop_levels(nfa, q, rest, closure)
+            bwd = [intern(b) for b in reversed(built[1:])] + built[:1]
             live = [{u for u, vs in unseen.items() if not vs.isdisjoint(b)} for b in bwd]
             entry = bwd_levels[(q, rest)] = (bwd, live)
         bwd, live = entry
@@ -99,7 +110,7 @@ def run_backward(
                     edge = gamma_out.get(u)
                     if edge is not None and edge[0] == label:
                         nxt |= fro.get(edge[1], {edge[1]})
-                levels.append(nxt)
+                levels.append(intern(nxt))
         found: list[tuple[State, State]] = []
         for f_level, b_level, sources in zip(levels, bwd, live):
             if not sources:

@@ -17,7 +17,7 @@ from . import __version__
 from .builders import cfg_to_pda, random_pda
 from .dot import nfa_to_dot
 from .model import Pda
-from .oracle import bounded_useful, exact_useless
+from .oracle import bounded_useful, exact_unreachable, exact_useless
 from .pruner import AnalysisReport, InvalidPdaError, analyze, prune, run_pipeline
 from .textio import PdaFormatError, parse_grammar, parse_pda, print_pda
 
@@ -174,13 +174,17 @@ def main(argv: list[str] | None = None) -> int:
                     return EXIT_MISMATCH
                 print(f"MATCH ({len(witnesses)} witnesses, bounds {stack}/{moves})")
                 return EXIT_OK
-            expected = exact_useless(pda)
-            if expected != report.useless:
-                extra = sorted(report.useless - expected)
-                missing = sorted(expected - report.useless)
-                print(f"MISMATCH: extra={extra} missing={missing}")
+            useless, unreachable = exact_useless(pda), exact_unreachable(pda)
+            sides = (
+                ("unreachable", report.unreachable, unreachable),
+                ("dead", report.dead, useless - unreachable),
+            )
+            wrong = [(side, got, want) for side, got, want in sides if got != want]
+            for side, got, want in wrong:
+                print(f"MISMATCH: {side} extra={sorted(got - want)} missing={sorted(want - got)}")
+            if wrong:
                 return EXIT_MISMATCH
-            print(f"MATCH ({len(expected)} useless)")
+            print(f"MATCH ({len(useless)} useless)")
             return EXIT_OK
 
         if args.command == "gen":

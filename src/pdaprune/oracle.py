@@ -7,7 +7,8 @@ automaton, converts it to a context-free grammar with
 ``pda_to_grammar(normalize(augment(pda)))`` and reuses the classic
 useless-production elimination; each production keeps the id of the
 transition it came from, which ties production usefulness back to
-transition usefulness.  Besides the model types, ``exact_useless`` shares
+transition usefulness; ``exact_unreachable`` reuses it to split the useless
+transitions.  Besides the model types, ``exact_useless`` shares
 only ``validate`` and ``augment`` with the detector being verified, never
 its forward or backward analysis.  The searches that only the test suite
 needs (reachable configurations, bounded languages and derivations) live
@@ -265,3 +266,9 @@ def exact_useless(pda: Pda) -> frozenset[str]:
     dead_prods = grammar_useless(grammar)
     live = {tid for i, tid in enumerate(origin) if i not in dead_prods}
     return frozenset(t.id for t in pda.transitions if t.id not in live)
+
+
+def exact_unreachable(pda: Pda) -> frozenset[str]:
+    """The exact set of unreachable transition ids: those still useless when
+    every state is final, since then any run that fires a transition accepts."""
+    return exact_useless(replace(pda, finals=frozenset(pda.states)))

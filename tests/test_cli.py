@@ -156,6 +156,21 @@ def test_verify_mismatch_exit_4(example1_file, capsys, monkeypatch):
     assert "MISMATCH" in capsys.readouterr().out
 
 
+def test_verify_exact_checks_the_split(example1_file, capsys, monkeypatch):
+    import pdaprune.cli as cli_module
+
+    def swapped(pda):
+        report = pdaprune.analyze(pda)
+        return dataclasses.replace(report, unreachable=report.dead, dead=report.unreachable)
+
+    monkeypatch.setattr(cli_module, "analyze", swapped)
+    assert main(["verify", example1_file, "--exact"]) == 4
+    assert capsys.readouterr().out == (
+        "MISMATCH: unreachable extra=['t3'] missing=[]\n"
+        "MISMATCH: dead extra=[] missing=['t3']\n"
+    )
+
+
 def test_verify_bounded_mismatch_exit_4(example1_file, capsys, monkeypatch):
     import pdaprune.cli as cli_module
 

@@ -6,6 +6,7 @@ from pdaprune import (
     augment,
     analyze,
     bounded_useful,
+    exact_unreachable,
     exact_useless,
     grammar_useless,
     make_grammar,
@@ -39,6 +40,39 @@ def test_bounded_useful_monotone(example1):
         small = bounded_useful(example1, h, m)
         big = bounded_useful(example1, h + 1, m + 1)
         assert small <= big
+
+
+def test_bounded_useful_move_bound_is_exact():
+    # t1 and t3 accept in 2 moves; t0 and t2 only on the 3-move run t0 t2 t3.
+    pda = make_pda(
+        ["q0", "q1", "q2", "qf"],
+        [],
+        ["x"],
+        [
+            ("t0", "q0", None, "", "", "q1"),
+            ("t1", "q0", None, "", "", "q2"),
+            ("t2", "q1", None, "", "", "q2"),
+            ("t3", "q2", None, "", "", "qf"),
+        ],
+        "q0",
+        ["qf"],
+    )
+    assert bounded_useful(pda, 0, 3) == {"t0", "t1", "t2", "t3"}
+    assert bounded_useful(pda, 0, 2) == {"t1", "t3"}
+
+
+def test_bounded_useful_stack_bound_is_exact():
+    # The one accepting run pushes two symbols and pops them.
+    pda = make_pda(
+        ["q0", "q1", "qf"],
+        [],
+        ["x"],
+        [("t0", "q0", None, "", "xx", "q1"), ("t1", "q1", None, "xx", "", "qf")],
+        "q0",
+        ["qf"],
+    )
+    assert bounded_useful(pda, 2, 2) == {"t0", "t1"}
+    assert bounded_useful(pda, 1, 2) == frozenset()
 
 
 def test_bounded_language_all_eps_inputs(example1):
@@ -171,6 +205,9 @@ def test_normalize_edges_keep_ids_through_marked_states(example1):
         states, symbols = npda.states, npda.stack_alphabet
         assert len(set(states)) == len(states) and len(set(symbols)) == len(symbols)
         added = set(states) - set(p0.states)
+        # The added states are exactly the chain states the edges run through.
+        assert added == {t.source for t in edges} - set(p0.states), pda
+        assert added == {t.target for t in edges} - set(p0.states), pda
         for q in added:
             assert sum(t.source == q for t in edges) == 1, (pda, q)
             assert len({t.id for t in edges if q in (t.source, t.target)}) == 1, (pda, q)
@@ -265,6 +302,16 @@ def test_grammar_useless_repeated_nonterminal_in_rhs():
 
 def test_exact_useless_example1(example1):
     assert exact_useless(example1) == {"t3"}
+
+
+def test_exact_split_on_criterion_3_corpus():
+    """With every state final, a transition is useless exactly when no run
+    fires it, so the exact oracle splits the useless set too."""
+    for seed, pda in enumerate(corpus(500)):
+        report = analyze(pda)
+        unreachable = exact_unreachable(pda)
+        assert report.unreachable == unreachable, seed
+        assert report.dead == exact_useless(pda) - unreachable, seed
 
 
 def test_exact_useless_empty_finals():

@@ -1,6 +1,6 @@
 """Compare pdaprune's answers at a base revision with the working tree's.
 
-    python3 tools/regress.py --base HEAD~1
+    python3 tools/regress.py --base HEAD~1 [--exact]
 
 The base's ``src/`` is extracted with ``git archive <rev> src`` into a
 temporary directory; nothing is fetched and the checkout is never written.
@@ -19,6 +19,13 @@ writes one JSON line per instance: the unreachable/dead split,
 ``nfa_to_dot``.  The lines are then diffed.  The last line printed is a
 one-line summary; the exit code is 1 if any instance differs and 2 if a
 worker fails.
+
+With ``--exact`` each side also checks its own split against its own exact
+oracle, ``exact_unreachable`` and ``exact_useless``, on every instance of
+at most ``EXACT_MAX_TRANSITIONS`` transitions; larger ones (the ladder
+rungs and the dense machine, seconds each) and failed instances are
+counted as not checked.  The summary then gives each side's exact
+mismatches, and the exit code is also 1 if the working tree has any.
 """
 
 import argparse
@@ -39,17 +46,28 @@ RANDOM_SEEDS = range(3000)
 # forward levels gives wrong verdicts.
 REGRESSION_SEEDS = (1061, 1082, 1257, 1351, 1681, 1871, 2472)
 SHOWN = 10
+# Every corpus, deep-drain and random_pda instance; exact_useless takes
+# 5-13 s on each ladder rung.
+EXACT_MAX_TRANSITIONS = 150
 
 # Run as ``python -c`` under each side's PYTHONPATH: instances in, reports out.
 WORKER = """
 import dataclasses, hashlib, json, sys
-from pdaprune import nfa_to_dot, parse_pda, run_pipeline
+from pdaprune import exact_useless, nfa_to_dot, parse_pda, run_pipeline
 
+try:
+    from pdaprune import exact_unreachable
+except ImportError:  # a base older than exact_unreachable: its definition
+    def exact_unreachable(pda):
+        return exact_useless(dataclasses.replace(pda, finals=frozenset(pda.states)))
+
+exact_max = int(sys.argv[3])
 with open(sys.argv[1], encoding="utf-8") as src, open(sys.argv[2], "w", encoding="utf-8") as out:
     for line in src:
         inst = json.loads(line)
         try:
-            result = run_pipeline(parse_pda(inst["text"]))
+            pda = parse_pda(inst["text"])
+            result = run_pipeline(pda)
             r = result.report
             rec = {
                 "split": [sorted(r.unreachable), sorted(r.dead)],
@@ -57,6 +75,9 @@ with open(sys.argv[1], encoding="utf-8") as src, open(sys.argv[2], "w", encoding
                 "stats": dataclasses.asdict(r.stats),
                 "dot": hashlib.sha256(nfa_to_dot(result.fwd.nfa).encode()).hexdigest(),
             }
+            if len(pda.transitions) <= exact_max:
+                unreachable = exact_unreachable(pda)
+                rec["exact"] = [sorted(unreachable), sorted(exact_useless(pda) - unreachable)]
         except Exception as exc:
             rec = {"error": f"{type(exc).__name__}: {exc}"}
         out.write(json.dumps({"name": inst["name"], **rec}, sort_keys=True) + "\\n")
@@ -102,6 +123,9 @@ def load(path: Path) -> dict[str, dict]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument(
+        "--exact", action="store_true", help="also check each side's split with the exact oracle"
+    )
     args = parser.parse_args(argv)
     base = subprocess.run(
         ["git", "-C", str(REPO), "rev-parse", "--short", args.base],
@@ -117,9 +141,11 @@ def main(argv: list[str] | None = None) -> int:
                 fh.write(json.dumps({"name": name, "text": text}) + "\n")
         sides = {"base": work / "base" / "src", "change": REPO / "src"}
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        exact_max = str(EXACT_MAX_TRANSITIONS if args.exact else -1)
         procs = [
             subprocess.Popen(
-                [sys.executable, "-c", WORKER, str(work / "instances.jsonl"), str(work / f"{side}.jsonl")],
+                [sys.executable, "-c", WORKER, str(work / "instances.jsonl"),
+                 str(work / f"{side}.jsonl"), exact_max],
                 env=dict(env, PYTHONPATH=str(src)),
             )
             for side, src in sides.items()
@@ -142,11 +168,24 @@ def main(argv: list[str] | None = None) -> int:
                 for f in fields:
                     print(f"  base   {f}: {old[name].get(f)}\n  change {f}: {new[name].get(f)}")
     detail = ", ".join(f"{f} {n}" for f, n in counts.items())
-    print(
+    summary = (
         f"regress: base {base} vs working tree: {len(differing)} of {len(listed)} "
         f"instances differ ({detail})"
     )
-    return 1 if differing else 0
+    wrong = {}
+    if args.exact:
+        for side, recs in (("base", old), ("change", new)):
+            wrong[side] = [n for n, rec in recs.items() if "exact" in rec and rec["exact"] != rec["split"]]
+            for name in wrong[side][:SHOWN]:
+                print(f"{name}: {side} split {recs[name]['split']} vs exact {recs[name]['exact']}")
+        checked = sum("exact" in rec for rec in new.values())
+        summary += (
+            f"; exact split on {checked} instances of at most {EXACT_MAX_TRANSITIONS} "
+            f"transitions ({len(listed) - checked} not checked): base {len(wrong['base'])}, "
+            f"change {len(wrong['change'])} mismatches"
+        )
+    print(summary)
+    return 1 if differing or wrong.get("change") else 0
 
 
 if __name__ == "__main__":
