@@ -6,7 +6,6 @@ from pdaprune import (
     augment,
     analyze,
     bounded_useful,
-    exact_unreachable,
     exact_useless,
     grammar_useless,
     make_grammar,
@@ -302,16 +301,6 @@ def test_grammar_useless_repeated_nonterminal_in_rhs():
 
 def test_exact_useless_example1(example1):
     assert exact_useless(example1) == {"t3"}
-
-
-def test_exact_split_on_criterion_3_corpus():
-    """With every state final, a transition is useless exactly when no run
-    fires it, so the exact oracle splits the useless set too."""
-    for seed, pda in enumerate(corpus(500)):
-        report = analyze(pda)
-        unreachable = exact_unreachable(pda)
-        assert report.unreachable == unreachable, seed
-        assert report.dead == exact_useless(pda) - unreachable, seed
 
 
 def test_exact_useless_empty_finals():

@@ -1,6 +1,6 @@
 """Compare pdaprune's answers at a base revision with the working tree's.
 
-    python3 tools/regress.py --base HEAD~1 [--exact]
+    python3 tools/regress.py --base HEAD~1
 
 The base's ``src/`` is extracted with ``git archive <rev> src`` into a
 temporary directory; nothing is fetched and the checkout is never written.
@@ -16,16 +16,18 @@ Each side parses every instance from its PDA text and runs
 ``run_pipeline`` in its own subprocess; the two run side by side.  Each
 writes one JSON line per instance: the unreachable/dead split,
 ``empty_language``, ``AnalysisStats`` and a SHA-256 digest of
-``nfa_to_dot``.  The lines are then diffed.  The last line printed is a
-one-line summary; the exit code is 1 if any instance differs and 2 if a
-worker fails.
+``nfa_to_dot``.  The lines are then diffed.
 
-With ``--exact`` each side also checks its own split against its own exact
-oracle, ``exact_unreachable`` and ``exact_useless``, on every instance of
-at most ``EXACT_MAX_TRANSITIONS`` transitions; larger ones (the ladder
-rungs and the dense machine, seconds each) and failed instances are
-counted as not checked.  The summary then gives each side's exact
-mismatches, and the exit code is also 1 if the working tree has any.
+Each side also checks its own split against its own ``exact_useless``,
+run once as is and once with every state final (the unreachable part), on
+every instance of at most ``EXACT_MAX_TRANSITIONS`` transitions; larger
+ones (the ladder rungs and the dense machine, seconds each) and failed
+instances are counted as not checked.
+
+The last line printed is a one-line summary with the number of differing
+instances and each side's exact mismatches; the exit code is 1 if any
+instance differs or the working tree has an exact mismatch, and 2 if a
+worker fails.
 """
 
 import argparse
@@ -55,11 +57,8 @@ WORKER = """
 import dataclasses, hashlib, json, sys
 from pdaprune import exact_useless, nfa_to_dot, parse_pda, run_pipeline
 
-try:
-    from pdaprune import exact_unreachable
-except ImportError:  # a base older than exact_unreachable: its definition
-    def exact_unreachable(pda):
-        return exact_useless(dataclasses.replace(pda, finals=frozenset(pda.states)))
+def exact_unreachable(pda):
+    return exact_useless(dataclasses.replace(pda, finals=frozenset(pda.states)))
 
 exact_max = int(sys.argv[3])
 with open(sys.argv[1], encoding="utf-8") as src, open(sys.argv[2], "w", encoding="utf-8") as out:
@@ -123,9 +122,6 @@ def load(path: Path) -> dict[str, dict]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument(
-        "--exact", action="store_true", help="also check each side's split with the exact oracle"
-    )
     args = parser.parse_args(argv)
     base = subprocess.run(
         ["git", "-C", str(REPO), "rev-parse", "--short", args.base],
@@ -141,11 +137,10 @@ def main(argv: list[str] | None = None) -> int:
                 fh.write(json.dumps({"name": name, "text": text}) + "\n")
         sides = {"base": work / "base" / "src", "change": REPO / "src"}
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-        exact_max = str(EXACT_MAX_TRANSITIONS if args.exact else -1)
         procs = [
             subprocess.Popen(
                 [sys.executable, "-c", WORKER, str(work / "instances.jsonl"),
-                 str(work / f"{side}.jsonl"), exact_max],
+                 str(work / f"{side}.jsonl"), str(EXACT_MAX_TRANSITIONS)],
                 env=dict(env, PYTHONPATH=str(src)),
             )
             for side, src in sides.items()
@@ -173,19 +168,18 @@ def main(argv: list[str] | None = None) -> int:
         f"instances differ ({detail})"
     )
     wrong = {}
-    if args.exact:
-        for side, recs in (("base", old), ("change", new)):
-            wrong[side] = [n for n, rec in recs.items() if "exact" in rec and rec["exact"] != rec["split"]]
-            for name in wrong[side][:SHOWN]:
-                print(f"{name}: {side} split {recs[name]['split']} vs exact {recs[name]['exact']}")
-        checked = sum("exact" in rec for rec in new.values())
-        summary += (
-            f"; exact split on {checked} instances of at most {EXACT_MAX_TRANSITIONS} "
-            f"transitions ({len(listed) - checked} not checked): base {len(wrong['base'])}, "
-            f"change {len(wrong['change'])} mismatches"
-        )
+    for side, recs in (("base", old), ("change", new)):
+        wrong[side] = [n for n, rec in recs.items() if "exact" in rec and rec["exact"] != rec["split"]]
+        for name in wrong[side][:SHOWN]:
+            print(f"{name}: {side} split {recs[name]['split']} vs exact {recs[name]['exact']}")
+    checked = sum("exact" in rec for rec in new.values())
+    summary += (
+        f"; exact split on {checked} instances of at most {EXACT_MAX_TRANSITIONS} "
+        f"transitions ({len(listed) - checked} not checked): base {len(wrong['base'])}, "
+        f"change {len(wrong['change'])} mismatches"
+    )
     print(summary)
-    return 1 if differing or wrong.get("change") else 0
+    return 1 if differing or wrong["change"] else 0
 
 
 if __name__ == "__main__":
