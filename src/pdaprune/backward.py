@@ -6,12 +6,15 @@ up once as NFA states.  A worklist of epsilon edges of the NFA is grown
 from m0 ->eps qf.  Each edge x ->eps y justifies every reachable
 transition whose push path starts at y and whose pop set S(q, pop)
 contains x; justifying a popping transition in turn enqueues the epsilon
-edges lying on the matching pop paths, whose backward levels come from
-forward's ``pop_levels``.  The memo is the second documented
-optimization: a map from each source state to its epsilon successors not
-yet put on the worklist.  A path scan removes every edge it emits, so each
-edge enters the worklist at most once.  States are ints, so neither the
-work nor its order follows PYTHONHASHSEED.
+edges lying on the matching pop paths.  Both levels of a path scan come
+from forward's ``pop_levels``, the walk that gives ``compute_s`` its
+S-sets: backward levels over ``closure.to`` and ``gamma_into`` from q,
+forward levels over ``closure.fro`` and ``gamma_into`` inverted once per
+call.  The memo is the second documented optimization: a map from each
+source state to its epsilon successors not yet put on the worklist.  A
+path scan removes every edge it emits, so each edge enters the worklist
+at most once.  States are ints, so neither the work nor its order follows
+PYTHONHASHSEED.
 
 Scans also skip sources that cannot contribute.  The backward levels of a
 (q, pop) key are fixed, and ``unseen`` only shrinks, so each level keeps
@@ -68,7 +71,8 @@ def run_backward(
         q = nfa.number[t.source]
         by_head.setdefault(fwd.path_head[t.id], []).append((t, q, fwd.ssets[(q, t.pop)]))
     unseen = {x: set(ys) for x, ys in nfa.eps_out.items()}
-    gamma_out, fro = nfa.gamma_out, closure.fro
+    # Forward levels hop along gamma edges: view[label][src] is the target.
+    view = {label: {u: v for v, u in into.items()} for label, into in nfa.gamma_into.items()}
     # On the finished NFA a path scan is per-level set intersections: backward
     # levels and their live sources per (q, pop[:-1]), forward per (z, pop[:-1]).
     bwd_levels: dict[tuple[State, StackString], tuple] = {}
@@ -90,7 +94,7 @@ def run_backward(
         entry = bwd_levels.get((q, rest))
         if entry is None:
             # Backward level i: the states that read all but i labels into q.
-            built = pop_levels(nfa, q, rest, closure)
+            built = pop_levels(closure.to, nfa.gamma_into, q, rest)
             bwd = [intern(b) for b in reversed(built[1:])] + built[:1]
             live = [{u for u, vs in unseen.items() if not vs.isdisjoint(b)} for b in bwd]
             entry = bwd_levels[(q, rest)] = (bwd, live)
@@ -98,19 +102,12 @@ def run_backward(
         if not any(live):
             return []
         # x is in S(q, pop), so its one gamma edge reads pop[-1].
-        z = gamma_out[x][1]
+        z = view[pop[-1]][x]
         levels = fwd_levels.get((z, rest))
         if levels is None:
-            # Level i holds the states reachable from z after i label hops;
-            # a state without a closure entry reaches only itself.
-            levels = fwd_levels[(z, rest)] = [fro.get(z, {z})]
-            for label in reversed(rest):
-                nxt: set[State] = set()
-                for u in levels[-1]:
-                    edge = gamma_out.get(u)
-                    if edge is not None and edge[0] == label:
-                        nxt |= fro.get(edge[1], {edge[1]})
-                levels.append(intern(nxt))
+            # Forward level i: the states reached from z after i label hops.
+            built = pop_levels(closure.fro, view, z, rest[::-1])
+            levels = fwd_levels[(z, rest)] = built[:1] + [intern(f) for f in built[1:]]
         found: list[tuple[State, State]] = []
         for f_level, b_level, sources in zip(levels, bwd, live):
             if not sources:

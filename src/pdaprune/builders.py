@@ -37,7 +37,7 @@ def random_pda(
     finals = frozenset(q for q in states if rng.random() < final_prob)
 
     def stack_string():
-        n = rng.choice([0, 0, 0, 1, 1, 2])
+        n = rng.choice([0, 0, 0, 1, 1, 2, *range(3, max_pop_push + 1)])
         n = min(n, max_pop_push)
         return tuple(rng.choice(gamma) for _ in range(n))
 

@@ -24,15 +24,15 @@ added nothing, and the group is done for the pass without comparing the
 sets.  Most evaluations end there; the check skips the work after an
 evaluation, never the evaluation itself.
 
-``pop_levels`` is the one pop-path walk: ``compute_s`` reads S(q, pop) off
-its last level, and the backward path scans take their backward levels from
-it (their forward levels ``run_backward`` builds from ``closure.fro`` rows).
-It hops gamma edges through the NFA's per-label index, intersecting a level
-with the targets of that label's edges, and widens each hop with the
-``closure.to`` rows of its states.  The first level is q's closure row
-itself, so for a one-symbol pop ``compute_s`` intersects that row where it
-stands instead of copying it.  Closure rows, like the S-sets in
-``ForwardResult.ssets``, are read and never written by their readers.
+``pop_levels`` is the one pop-path walk: level i holds the states i label
+hops from q, each hop widened by a closure row.  ``compute_s`` reads S(q,
+pop) off the last level of a walk over ``closure.to`` and ``gamma_into``;
+the backward path scans take their backward levels from the same walk and
+their forward levels from one over ``closure.fro`` and the inverted gamma
+index.  The first level is q's row itself, so for a one-symbol pop
+``compute_s`` intersects that row where it stands instead of copying it.
+Closure rows, like the S-sets in ``ForwardResult.ssets``, are read and
+never written by their readers.
 
 The epsilon-closure index is the first of the two documented
 optimizations: it replaces per-query backward scans over epsilon edges.
@@ -88,22 +88,25 @@ class EpsClosure:
 
 
 def pop_levels(
-    nfa: NfaSummary, q: State, labels: StackString, closure: EpsClosure
+    rows: dict[State, set[State]],
+    hops: dict[Symbol, dict[State, State]],
+    q: State,
+    labels: StackString,
 ) -> list[set[State]]:
-    """Level i: the states that read ``labels[:i]`` into q, epsilon-closed.
+    """Level i: the states i label hops from q, each hop widened by ``rows``.
 
-    ``labels`` is top-first, so ``labels[0]`` is read last; epsilon moves
-    may come anywhere on the way.  Level 0 is q's ``closure.to`` row, not
-    a copy.
+    ``hops[label][s]`` is where a ``label`` hop from s leads, and a state
+    without a row has only itself.  Over ``closure.to`` and ``gamma_into``
+    level i holds the states that read ``labels[:i]`` (top-first) into q.
+    Level 0 is q's row, not a copy.
     """
-    to = closure.to
-    levels = [to.get(q, {q})]
+    levels = [rows.get(q, {q})]
     for label in labels:
-        into = nfa.gamma_into.get(label, {})
+        hop = hops.get(label, {})
         level: set[State] = set()
-        for t in levels[-1] & into.keys():
-            s = into[t]
-            level.update(to.get(s, (s,)))
+        for t in levels[-1] & hop.keys():
+            s = hop[t]
+            level.update(rows.get(s, (s,)))
         levels.append(level)
     return levels
 
@@ -123,7 +126,7 @@ def compute_s(nfa: NfaSummary, q: State, sigma: StackString, closure: EpsClosure
     into = nfa.gamma_into.get(sigma[-1])
     if into is None:
         return set()
-    level = pop_levels(nfa, q, sigma[:-1], closure)[-1]
+    level = pop_levels(closure.to, nfa.gamma_into, q, sigma[:-1])[-1]
     return {into[t] for t in into.keys() & level}
 
 

@@ -4,14 +4,14 @@ The pipeline runs on the input as given.  Transitions that differ only in
 their input symbol cost next to nothing extra: forward evaluates their
 shared (source, pop) S-set once and their push paths coincide, so they
 add no NFA state or edge.  ``run_pipeline`` returns the report with the
-forward result, which holds P0 as ``fwd.p0``, and the backward result;
-the report keeps the input's ids and drops P0's synthetic ``#aug`` ones.
+forward result, which holds P0 as ``fwd.p0``; the report keeps the
+input's ids and drops P0's synthetic ``#aug`` ones.
 """
 
 from dataclasses import dataclass, replace
 
 from .augment import BOTTOM, augment
-from .backward import BackwardResult, run_backward
+from .backward import run_backward
 from .forward import ForwardResult, run_forward
 from .model import Pda, validate
 
@@ -48,7 +48,6 @@ class AnalysisReport:
 class PipelineResult:
     report: AnalysisReport
     fwd: ForwardResult
-    bwd: BackwardResult
 
 
 def run_pipeline(pda: Pda) -> PipelineResult:
@@ -77,7 +76,7 @@ def run_pipeline(pda: Pda) -> PipelineResult:
             backward_iterations=bwd.iterations,
         ),
     )
-    return PipelineResult(report=report, fwd=fwd, bwd=bwd)
+    return PipelineResult(report=report, fwd=fwd)
 
 
 def analyze(pda: Pda) -> AnalysisReport:

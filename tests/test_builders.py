@@ -33,6 +33,11 @@ def test_random_pda_within_bounds():
     assert validate(pda) == []
 
 
+def test_random_pda_pops_up_to_its_cap():
+    pops = {len(t.pop) for s in range(20) for t in random_pda(s, max_pop_push=4).transitions}
+    assert max(pops) == 4
+
+
 def test_random_pda_rejects_bad_params():
     with pytest.raises(ValueError):
         random_pda(0, max_states=0)

@@ -46,58 +46,6 @@ def named_gamma_edges(nfa):
     return {(pathname(src), label, pathname(dst)) for src, label, dst in nfa.gamma_edges()}
 
 
-def test_golden_u1_empty(golden):
-    assert golden.u1 == frozenset()
-
-
-def test_golden_nfa_states(golden):
-    nfa = golden.nfa
-    finals = {s for s in nfa.states if nfa.is_final(s)}
-    assert finals == set(nfa_states(nfa, "q0 q1 q2 q3 qf"))
-    mids = {s for s in nfa.states if not nfa.is_final(s) and s != M0}
-    assert len(mids) == 5
-    assert len(nfa.states) == 11
-
-
-def test_golden_nfa_gamma_edges(golden):
-    # m0 -b0-> q0, n1 -a-> q1, n2 -b-> q1, n3 -a-> n4 -d-> q2, n5 -c-> q2
-    assert named_gamma_edges(golden.nfa) == {
-        ("m0", "b0", "q0"),
-        ("via:a>q1", "a", "q1"),
-        ("via:b>q1", "b", "q1"),
-        ("via:ad>q2", "a", "via:d>q2"),
-        ("via:d>q2", "d", "q2"),
-        ("via:c>q2", "c", "q2"),
-    }
-
-
-def test_golden_nfa_eps_edges(golden):
-    nfa = golden.nfa
-    q0, q1, q2, q3, qf = nfa_states(nfa, "q0 q1 q2 q3 qf")
-
-    def head(labels, q):
-        cur = q
-        for label in reversed(labels):
-            cur = nfa.gamma_into[label][cur]
-        return cur
-
-    n1 = head("a", q1)
-    n2 = head("b", q1)
-    n3 = head("ad", q2)
-    n4 = head("d", q2)
-    n5 = head("c", q2)
-    assert nfa.eps_edges == {
-        (q0, n1),
-        (q0, n2),
-        (q0, n3),
-        (q1, n5),
-        (q1, n4),
-        (n1, q3),
-        (n2, q3),
-        (M0, qf),
-    }
-
-
 def test_golden_intermediates_numbered_in_creation_order(golden):
     # m0 is 0, the five PDA states are 1..5 in declaration order, and the
     # declaration order of the example makes the intermediates 6..10 match
@@ -113,10 +61,6 @@ def test_golden_intermediates_numbered_in_creation_order(golden):
     assert nfa.gamma_out[8] == ("a", 9)
     assert nfa.gamma_out[9] == ("d", 3)
     assert nfa.gamma_out[10] == ("c", 3)
-
-
-def test_golden_shape_invariants(golden):
-    assert nfa_shape_violations(golden.nfa) == []
 
 
 def assert_fixpoint(p0, fwd):

@@ -82,15 +82,40 @@ def test_backward_reads_only_the_forward_result():
 
 
 def test_forward_has_one_mode():
-    """The closure index is always read: no option turns it off, and the
-    pop-path walks take the closure as a required argument."""
+    """The closure index is always read: no option turns it off, ``compute_s``
+    takes the closure and the pop-level walk its rows as required arguments."""
     assert list(inspect.signature(pruner.analyze).parameters) == ["pda"]
     assert list(inspect.signature(pruner.run_pipeline).parameters) == ["pda"]
     assert list(inspect.signature(forward.run_forward).parameters) == ["p0", "bottom"]
-    for function in (forward.compute_s, forward.pop_levels):
-        closure = inspect.signature(function).parameters["closure"]
-        assert closure.default is inspect.Parameter.empty, function.__name__
+    compute_s = inspect.signature(forward.compute_s).parameters
+    assert list(compute_s) == ["nfa", "q", "sigma", "closure"]
+    pop_levels = inspect.signature(forward.pop_levels).parameters
+    assert list(pop_levels) == ["rows", "hops", "q", "labels"]
+    for param in (compute_s["closure"], pop_levels["rows"], pop_levels["hops"]):
+        assert param.default is inspect.Parameter.empty, param.name
     assert not hasattr(forward, "eps_backward_set")
+
+
+def test_backward_builds_levels_only_through_pop_levels():
+    """``backward.py`` reads no ``gamma_out`` and hands closure rows only to
+    ``forward.pop_levels``, so that walk is the one that builds pop levels."""
+    tree = ast.parse((SRC / "backward.py").read_text(encoding="utf-8"))
+    passed = {
+        id(arg)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "pop_levels"
+        for arg in node.args
+    }
+    rows = 0
+    for node in ast.walk(tree):
+        assert getattr(node, "attr", None) != "gamma_out"
+        assert getattr(node, "id", None) != "gamma_out"
+        if isinstance(node, ast.Attribute) and node.attr in ("to", "fro"):
+            assert id(node) in passed, ast.unparse(node)
+            rows += 1
+    assert rows == 2
 
 
 def test_nfa_states_have_one_encoding():
@@ -113,7 +138,7 @@ def test_added_names_need_no_search_and_no_wrapper():
             assert not hasattr(module, wrapper), (module.__name__, wrapper)
         assert wrapper not in pdaprune.__all__
     fields = [f.name for f in dataclasses.fields(pruner.PipelineResult)]
-    assert fields == ["report", "fwd", "bwd"]
+    assert fields == ["report", "fwd"]
 
 
 def test_no_test_module_imports_another():

@@ -151,12 +151,6 @@ def test_prune_orphan_states_keep_sources_and_drop_untouched_finals():
     assert (slim.states, slim.finals) == (("q0", "q1", "q2"), {"q2"})
 
 
-def test_idempotence(example1):
-    report = analyze(example1)
-    pruned = prune(example1, report)
-    assert analyze(pruned).useless == frozenset()
-
-
 def test_language_preserved_example1(example1):
     report = analyze(example1)
     pruned = prune(example1, report)

@@ -10,6 +10,8 @@ builders and ``bench/workloads.py``:
 * seeds 1-3 of every bench workload (ladder, deep-drain, corpus);
 * ``random_pda(s)`` for s in 0..2999, which holds the regression seeds
   ``REGRESSION_SEEDS``;
+* ``random_pda(s, max_pop_push=4)`` for s in 0..999, whose pops of up to
+  4 symbols take backward's forward levels past their first hop;
 * the dense ``random_pda(2025, ...)`` machine of the backward tests.
 
 Each side parses every instance from its PDA text and runs
@@ -44,6 +46,7 @@ REPO = Path(__file__).resolve().parent.parent
 FIELDS = ("split", "empty_language", "stats", "dot")
 BENCH_SEEDS = (1, 2, 3)
 RANDOM_SEEDS = range(3000)
+LONG_POP_SEEDS = range(1000)
 # random_pda seeds on which a backward that ignores gamma labels in its
 # forward levels gives wrong verdicts.
 REGRESSION_SEEDS = (1061, 1082, 1257, 1351, 1681, 1871, 2472)
@@ -99,6 +102,8 @@ def instances() -> list[tuple[str, str]]:
             ]
     for s in sorted(set(RANDOM_SEEDS) | set(REGRESSION_SEEDS)):
         out.append((f"random-{s}", print_pda(random_pda(s))))
+    for s in LONG_POP_SEEDS:
+        out.append((f"random-pop4-{s}", print_pda(random_pda(s, max_pop_push=4))))
     dense = random_pda(2025, max_states=25, max_trans=160, gamma_size=4, final_prob=0.1)
     out.append(("random-dense-2025", print_pda(dense)))
     return out
